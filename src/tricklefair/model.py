@@ -13,8 +13,13 @@ of the first K instants, or a later instant while fewer than K of the
 earlier-slotted neighbors actually transmitted. Expressing that probability
 through the neighbors' own transmission probabilities couples the network
 into N equations in N unknowns, which are solved here by damped fixed-point
-iteration. Neighbor transmissions are treated as independent events; the
-discrete-event simulator quantifies the error this approximation introduces.
+iteration. Each sweep evaluates the nodes in groups of equal degree and K, one
+array per group. The iteration starts undamped and drops to damping 0.5 once
+ten iterations in a row fail to shrink the defect max|F(p) - p| by at least
+0.1%; a relative test, because an undamped period-2 oscillation keeps a
+defect that shrinks only in the last digits. Neighbor transmissions are
+treated as independent events; the discrete-event simulator quantifies the
+error this approximation introduces.
 """
 from __future__ import annotations
 
@@ -31,7 +36,9 @@ import numpy as np
 # dyadic arithmetic guarantees in downstream float conversions.
 MAX_DEGREE = 64
 
-_STALL_LIMIT = 10  # iterations without residual progress before damping drops
+_STALL_LIMIT = 10  # stalled iterations in a row before damping drops
+# An iteration stalls unless it shrinks the defect by at least this fraction.
+_STALL_PROGRESS = 1e-3
 _FALLBACK_DAMPING = 0.5
 
 
@@ -48,8 +55,9 @@ class SolverConfig:
     """Fixed-point iteration controls.
 
     damping is the initial mixing weight on the update; it falls back to 0.5
-    automatically if the residual stalls. init is the starting probability
-    for nodes that are not forced to 1.
+    automatically after 10 iterations in a row that each shrink the defect
+    by less than 0.1% (see _STALL_LIMIT and _STALL_PROGRESS). init is the
+    starting probability for nodes that are not forced to 1.
     """
 
     tolerance: float = 1e-10
@@ -203,28 +211,75 @@ def p_last_opportunity(y: int, k: int, neighbor_probs) -> float:
     return float(total)
 
 
-def update_map(topology, k_assignment, current_p) -> np.ndarray:
+class _SweepPlan:
+    """Nodes grouped by (degree y, K) for the batched update map.
+
+    p_f holds p_first per node; it does not depend on the iterate. Each group
+    of nodes with y >= K keeps its node ids, its neighbor ids as a (y, G)
+    array and the weights pmf[n] / C(y, n) for n = K..y, so that one sweep
+    runs the subset DP of the whole group as a single array.
+    """
+
+    def __init__(self, topology, k_assignment) -> None:
+        if len(k_assignment.k) != topology.n:
+            raise ValueError("k_assignment length does not match topology")
+        members: dict[tuple[int, int], list[int]] = {}
+        p_f = []
+        for i, (neigh, k) in enumerate(zip(topology.neighbor_lists, k_assignment.k)):
+            y = len(neigh)
+            p_f.append(p_first(y, k))
+            if y >= k:
+                members.setdefault((y, k), []).append(i)
+        self.p_f = np.array(p_f)
+        self.groups = []
+        for (y, k), nodes in sorted(members.items()):
+            pmf = yt_pmf(y).pmf
+            weights = np.array([pmf[n] / math.comb(y, n) for n in range(k, y + 1)])
+            neighbors = np.array([topology.neighbor_lists[i] for i in nodes]).T
+            self.groups.append((np.array(nodes), neighbors, k, weights))
+
+    def p_lo(self, p: np.ndarray) -> np.ndarray:
+        """p_last_opportunity of every node against the iterate p; 0 where y < K."""
+        out = np.zeros(len(p))
+        for nodes, neighbors, k, weights in self.groups:
+            q = p[neighbors]
+            r = 1.0 - q
+            y, g = q.shape
+            # w[m, j, node] is _subset_weights' W[m, j], one node per column;
+            # after c neighbors only the rows m <= c can be non-zero.
+            w = np.zeros((y + 1, k, g))
+            w[0, 0] = 1.0
+            for c in range(y):
+                prev = w[: c + 1]
+                silent = r[c] * prev
+                if k > 1:  # with K = 1 a firing neighbor only leaves the state
+                    fired = q[c] * prev[:, :-1]
+                    w[1 : c + 2] += silent
+                    w[1 : c + 2, 1:] += fired
+                else:
+                    w[1 : c + 2] += silent
+            out[nodes] = weights @ w[k:].sum(axis=1)
+        return out
+
+
+def update_map(topology, k_assignment, current_p, *, plan: _SweepPlan | None = None) -> np.ndarray:
     """One Jacobi sweep of the coupled probability equations.
 
     Nodes with fewer neighbors than their redundancy constant map to exactly
     1; all others map to p_first + p_last_opportunity evaluated against the
-    previous iterate. Output is clipped to [0, 1] against rounding.
+    previous iterate. Output is clipped to [0, 1] against rounding. plan is
+    the (degree, K) grouping of this topology and k_assignment;
+    solve_fixed_point passes the one it built, and it is built here when
+    omitted.
     """
     p = np.asarray(current_p, dtype=float)
     if p.shape != (topology.n,):
         raise ValueError(f"current_p must have shape ({topology.n},)")
     if np.any(p < 0.0) or np.any(p > 1.0):
         raise ValueError("current_p entries must lie in [0, 1]")
-    out = np.empty(topology.n)
-    for i in range(topology.n):
-        y = topology.degree(i)
-        k = k_assignment.k[i]
-        if y < k:
-            out[i] = 1.0
-        else:
-            neigh = p[list(topology.neighbors(i))]
-            out[i] = p_first(y, k) + p_last_opportunity(y, k, neigh)
-    return np.clip(out, 0.0, 1.0)
+    if plan is None:
+        plan = _SweepPlan(topology, k_assignment)
+    return np.clip(plan.p_f + plan.p_lo(p), 0.0, 1.0)
 
 
 def solve_fixed_point(topology, k_assignment, config: SolverConfig | None = None) -> ModelSolution:
@@ -235,8 +290,7 @@ def solve_fixed_point(topology, k_assignment, config: SolverConfig | None = None
     raised; non-finite iterates abort with a diagnostic.
     """
     cfg = config or SolverConfig()
-    if len(k_assignment.k) != topology.n:
-        raise ValueError("k_assignment length does not match topology")
+    plan = _SweepPlan(topology, k_assignment)
     degrees = topology.degrees
     ks = np.array(k_assignment.k, dtype=int)
     p = np.where(degrees < ks, 1.0, cfg.init)
@@ -248,7 +302,7 @@ def solve_fixed_point(topology, k_assignment, config: SolverConfig | None = None
     converged = False
     iterations = 0
     for iterations in range(1, cfg.max_iterations + 1):
-        f = update_map(topology, k_assignment, p)
+        f = update_map(topology, k_assignment, p, plan=plan)
         if not np.all(np.isfinite(f)):
             raise FloatingPointError(
                 f"non-finite iterate at iteration {iterations}; last residual {defect:.3e}"
@@ -257,7 +311,7 @@ def solve_fixed_point(topology, k_assignment, config: SolverConfig | None = None
         if defect < cfg.tolerance:
             converged = True
             break
-        if defect >= prev_defect:
+        if defect >= prev_defect * (1.0 - _STALL_PROGRESS):
             stall += 1
             if stall >= _STALL_LIMIT and alpha > _FALLBACK_DAMPING:
                 alpha = _FALLBACK_DAMPING
@@ -267,20 +321,13 @@ def solve_fixed_point(topology, k_assignment, config: SolverConfig | None = None
         prev_defect = defect
         p = p + alpha * (f - p)
 
-    p_f = np.empty(topology.n)
-    p_lo = np.empty(topology.n)
-    for i in range(topology.n):
-        y = int(degrees[i])
-        k = int(ks[i])
-        p_f[i] = p_first(y, k)
-        if y < k:
-            p_lo[i] = 0.0
-        else:
-            p_lo[i] = p_last_opportunity(y, k, p[list(topology.neighbors(i))])
+    if not converged:
+        f = update_map(topology, k_assignment, p, plan=plan)
+    # f = F(p) = p_f + p_lo at the final p; p_f does not depend on p.
     return ModelSolution(
         p_tx=p,
-        p_f=p_f,
-        p_lo=p_lo,
+        p_f=plan.p_f,
+        p_lo=f - plan.p_f,
         iterations=iterations,
         residual=defect,
         converged=converged,

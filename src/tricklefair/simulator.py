@@ -31,8 +31,9 @@ class TrickleParams:
     base_seed: int = 1
 
     def __post_init__(self) -> None:
-        if self.interval_length <= 0:
-            raise ValueError("interval_length must be positive")
+        # written so that NaN fails it too
+        if not 0.0 < self.interval_length < math.inf:
+            raise ValueError("interval_length must be positive and finite")
         if self.measured_intervals < 1:
             raise ValueError("measured_intervals must be >= 1")
         if self.warmup_intervals < 0:

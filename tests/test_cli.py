@@ -87,6 +87,15 @@ def test_simulate_defaults_and_determinism(tmp_path, grid_file):
     }
 
 
+@pytest.mark.parametrize("length", ["nan", "inf", "-1"])
+def test_simulate_rejects_invalid_interval_length(tmp_path, grid_file, capsys, length):
+    out = tmp_path / "sim.json"
+    args = ("simulate", "--topo", grid_file, "--fixed-k", 1, "--runs", 2, "--interval-length", length, "-o", out)
+    assert run_cli(*args) == 2
+    assert "interval_length must be positive and finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_simulate_single_run_has_null_ci(tmp_path, grid_file):
     out = tmp_path / "sim.json"
     assert run_cli("simulate", "--topo", grid_file, "--fixed-k", 1, "--runs", 1, "-o", out) == 0

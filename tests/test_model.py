@@ -12,6 +12,8 @@ from tricklefair import (
     fixed_policy,
     gamma_exact,
     generate_grid,
+    generate_random_udg,
+    heuristic_policy,
     p_first,
     p_last_opportunity,
     solve_fixed_point,
@@ -19,6 +21,7 @@ from tricklefair import (
     update_map,
     yt_pmf,
 )
+from tricklefair.cli import bundled_random_topology
 from tricklefair.model import MAX_DEGREE, SolverConfig, load_solution, save_solution
 
 
@@ -41,6 +44,16 @@ def brute_subset_average(probs, n, k):
         sub = [probs[i] for i in chosen]
         total += sum(gamma_exact(j, sub) for j in range(k))
     return total / math.comb(len(probs), n)
+
+
+def scalar_update_map(topology, k_assignment, p):
+    """Oracle: the update map evaluated one node at a time with the scalar formulas."""
+    out = np.ones(topology.n)
+    for i, neigh in enumerate(topology.neighbor_lists):
+        y, k = len(neigh), k_assignment.k[i]
+        if y >= k:
+            out[i] = p_first(y, k) + p_last_opportunity(y, k, p[list(neigh)])
+    return out
 
 
 class TestYtPmf:
@@ -213,6 +226,30 @@ class TestUpdateMap:
         with pytest.raises(ValueError):
             update_map(two_node, ka, [0.5, 1.5])
 
+    def test_batched_map_matches_scalar_oracle(self, grid):
+        udg = generate_random_udg(60, 10, 1.8, 2)
+        cases = [(grid, fixed_policy(k)) for k in range(1, 7)]
+        cases += [(bundled_random_topology(), fixed_policy(2)), (udg, heuristic_policy(3, 0))]
+        rng = np.random.default_rng(11)
+        low_degree = isolated = 0
+        for topo, policy in cases:
+            ka = assign_k(topo, policy)
+            low_degree += int(np.sum(topo.degrees < np.array(ka.k)))
+            isolated += int(np.sum(topo.degrees == 0))
+            for _ in range(3):
+                p = rng.uniform(0.0, 1.0, topo.n)
+                p[rng.random(topo.n) < 0.2] = 0.0
+                p[rng.random(topo.n) < 0.2] = 1.0
+                assert np.max(np.abs(update_map(topo, ka, p) - scalar_update_map(topo, ka, p))) <= 1e-13
+        # the cases must keep exercising forced nodes, including isolated ones
+        assert low_degree > 0 and isolated > 0
+        assert len(set(assign_k(udg, heuristic_policy(3, 0)).k)) > 1
+
+    def test_k_assignment_length_mismatch(self, two_node):
+        ka = assign_k(Topology.from_edges(3, [(0, 1)]), fixed_policy(1))
+        with pytest.raises(ValueError, match="length"):
+            update_map(two_node, ka, [0.5, 0.5])
+
 
 class TestSolveFixedPoint:
     def test_two_node_closed_form(self, two_node):
@@ -256,6 +293,26 @@ class TestSolveFixedPoint:
         bad = solve_fixed_point(two_node, assign_k(two_node, fixed_policy(1)), SolverConfig(max_iterations=1))
         with pytest.raises(ValueError, match="converged"):
             expected_message_count(bad)
+
+    def test_period_two_oscillation_falls_back_to_damping(self, grid):
+        # Undamped, K=6 on the grid settles into a period-2 cycle whose defect
+        # shrinks only in the 14th digit; the relative stall test catches it.
+        ka = assign_k(grid, fixed_policy(6))
+        sol = solve_fixed_point(grid, ka)
+        assert sol.converged
+        assert sol.iterations <= 150
+        assert np.max(np.abs(update_map(grid, ka, sol.p_tx) - sol.p_tx)) < SolverConfig().tolerance
+
+    def test_grid_iteration_counts_without_oscillation(self, grid):
+        counts = [solve_fixed_point(grid, assign_k(grid, fixed_policy(k))).iterations for k in range(1, 6)]
+        assert counts == [185, 143, 127, 110, 94]
+
+    def test_solution_parts_at_final_iterate(self, grid):
+        ka = assign_k(grid, fixed_policy(3))
+        for cfg in (SolverConfig(), SolverConfig(max_iterations=4)):
+            sol = solve_fixed_point(grid, ka, cfg)
+            assert np.all(sol.p_f == [p_first(grid.degree(i), 3) for i in range(grid.n)])
+            assert sol.p_f + sol.p_lo == pytest.approx(scalar_update_map(grid, ka, sol.p_tx), abs=1e-13)
 
     def test_degree_cap_raises(self):
         star = Topology.from_edges(66, [(0, i) for i in range(1, 66)])
