@@ -21,13 +21,9 @@ from .model import (
     MAX_DEGREE,
     ModelSolution,
     SolverConfig,
-    YtDistribution,
     expected_message_count,
-    gamma_exact,
     p_first,
-    p_last_opportunity,
     solve_fixed_point,
-    subset_cdf_average,
     update_map,
     yt_pmf,
 )
@@ -44,7 +40,6 @@ from .simulator import (
     SimulationResult,
     TraceEvent,
     TrickleParams,
-    estimate_probabilities,
     run_steady_state,
 )
 from .topology import (
@@ -70,27 +65,22 @@ __all__ = [
     "TopologyError",
     "TraceEvent",
     "TrickleParams",
-    "YtDistribution",
     "assign_k",
     "calculate_k",
     "class_means",
     "compare",
-    "estimate_probabilities",
     "expected_message_count",
     "export_surface",
     "fairness",
     "fixed_policy",
-    "gamma_exact",
     "generate_grid",
     "generate_random_udg",
     "heuristic_policy",
     "load_topology",
     "p_first",
-    "p_last_opportunity",
     "run_steady_state",
     "save_topology",
     "solve_fixed_point",
-    "subset_cdf_average",
     "update_map",
     "yt_pmf",
 ]

@@ -9,14 +9,13 @@ from __future__ import annotations
 
 import argparse
 import hashlib
-import json
 import math
 import sys
 from dataclasses import asdict
 from importlib import resources
 from pathlib import Path
 
-from . import __version__, metrics, model, redundancy, simulator
+from . import __version__, io, metrics, model, redundancy, simulator
 from .topology import (
     Topology,
     TopologyError,
@@ -40,12 +39,6 @@ def _sha256(path) -> str:
         for chunk in iter(lambda: fh.read(65536), b""):
             digest.update(chunk)
     return digest.hexdigest()
-
-
-def _write_json(path, doc) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
 
 
 def _policy_from_args(args) -> dict:
@@ -143,10 +136,10 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    sol = model.load_solution(args.model)
-    res = simulator.load_result(args.sim)
-    p_model = [rec["p_tx"] for rec in sol["per_node"]]
-    p_sim = [rec["mean_p"] for rec in res["per_node"]]
+    sol = io.read_records(args.model, ("converged", "iterations", "residual"), ("degree", "k", "p_tx"))
+    res = io.read_records(args.sim, ("params",), ("mean_p",))
+    p_model = [rec["p_tx"] for rec in sol]
+    p_sim = [rec["mean_p"] for rec in res]
     if len(p_model) != len(p_sim):
         print(
             f"error: node count mismatch (model {len(p_model)}, simulation {len(p_sim)})",
@@ -154,8 +147,8 @@ def cmd_compare(args) -> int:
         )
         return EXIT_USAGE
     comparison = metrics.compare(p_model, p_sim)
-    degrees = [rec["degree"] for rec in sol["per_node"]]
-    ks = [rec["k"] for rec in sol["per_node"]]
+    degrees = [rec["degree"] for rec in sol]
+    ks = [rec["k"] for rec in sol]
     metrics.save_comparison_csv(args.output, degrees, ks, comparison)
     _print_fairness(comparison.model_report)
     _print_fairness(comparison.sim_report)
@@ -212,7 +205,7 @@ def cmd_reproduce(args) -> int:
     manifest = _manifest(topo_path, [p for _, p in configs], planned, simulation=asdict(params))
     manifest["table"] = args.table
     manifest["status"] = "running"
-    _write_json(manifest_path, manifest)
+    io.write_json(manifest_path, manifest)
 
     stats = ["average_message_count", "max_probability", "min_probability", "variance"]
     if args.table != 3:
@@ -226,7 +219,7 @@ def cmd_reproduce(args) -> int:
         if not solution.converged:
             manifest["status"] = "failed"
             manifest["error"] = f"configuration {label} did not converge"
-            _write_json(manifest_path, manifest)
+            io.write_json(manifest_path, manifest)
             print(f"error: configuration {label} did not converge", file=sys.stderr)
             return EXIT_NO_CONVERGENCE
         result = simulator.run_steady_state(topo, assignment, params)
@@ -258,7 +251,7 @@ def cmd_reproduce(args) -> int:
         print(line)
 
     manifest["status"] = "complete"
-    _write_json(manifest_path, manifest)
+    io.write_json(manifest_path, manifest)
     print(f"wrote {rollup_path}")
     return EXIT_OK
 

@@ -1,10 +1,11 @@
 """Fairness summaries and model-vs-simulation comparison over per-node probabilities."""
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
+
+from .io import write_csv
 
 
 @dataclass(frozen=True)
@@ -86,32 +87,13 @@ def export_surface(topology, probabilities, path) -> None:
     p = np.asarray(probabilities, dtype=float)
     if p.shape != (topology.n,):
         raise ValueError(f"probabilities must have shape ({topology.n},)")
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["x", "y", "p"])
-        for i in range(topology.n):
-            writer.writerow(
-                [
-                    repr(float(topology.positions[i, 0])),
-                    repr(float(topology.positions[i, 1])),
-                    repr(float(p[i])),
-                ]
-            )
+    write_csv(path, ["x", "y", "p"], zip(topology.positions[:, 0], topology.positions[:, 1], p))
 
 
 def save_comparison_csv(path, degrees, ks, comparison: Comparison) -> None:
     """Per-node comparison rows: id,degree,k,p_model,p_sim,abs_diff."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["id", "degree", "k", "p_model", "p_sim", "abs_diff"])
-        for i in range(len(comparison.p_model)):
-            writer.writerow(
-                [
-                    i,
-                    int(degrees[i]),
-                    int(ks[i]),
-                    repr(float(comparison.p_model[i])),
-                    repr(float(comparison.p_sim[i])),
-                    repr(float(comparison.abs_diff[i])),
-                ]
-            )
+    rows = (
+        (i, int(degrees[i]), int(ks[i]), comparison.p_model[i], comparison.p_sim[i], comparison.abs_diff[i])
+        for i in range(len(comparison.p_model))
+    )
+    write_csv(path, ["id", "degree", "k", "p_model", "p_sim", "abs_diff"], rows)

@@ -23,14 +23,13 @@ error this approximation introduces.
 """
 from __future__ import annotations
 
-import csv
-import itertools
-import json
 import math
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+
+from .io import write_csv, write_json
 
 # Degrees beyond this are rejected rather than risking loss of the exact
 # dyadic arithmetic guarantees in downstream float conversions.
@@ -40,14 +39,6 @@ _STALL_LIMIT = 10  # stalled iterations in a row before damping drops
 # An iteration stalls unless it shrinks the defect by at least this fraction.
 _STALL_PROGRESS = 1e-3
 _FALLBACK_DAMPING = 0.5
-
-
-@dataclass(frozen=True)
-class YtDistribution:
-    """Distribution of the number of neighbor instants earlier than a node's own."""
-
-    y: int
-    pmf: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -101,13 +92,13 @@ def _yt_pmf_values(y: int) -> tuple[float, ...]:
     return tuple(values)
 
 
-def yt_pmf(y: int) -> YtDistribution:
+def yt_pmf(y: int) -> np.ndarray:
     """Mass function of the earlier-instant count for a node with y neighbors."""
     if y < 0:
         raise ValueError("neighbor count must be >= 0")
     if y > MAX_DEGREE:
         raise ValueError(f"degree {y} exceeds the supported maximum of {MAX_DEGREE}")
-    return YtDistribution(y, np.array(_yt_pmf_values(y)))
+    return np.array(_yt_pmf_values(y))
 
 
 def p_first(y: int, k: int) -> float:
@@ -129,86 +120,6 @@ def p_first(y: int, k: int) -> float:
         run += math.comb(y + 1, n)
         acc += run
     return 2 * acc / ((y + 1) << (y + 1))
-
-
-def gamma_exact(j: int, probs) -> float:
-    """Probability that exactly j of the given independent events occur.
-
-    Brute-force subset enumeration, exponential in len(probs); kept as the
-    reference oracle for the polynomial-time path.
-    """
-    p = [float(v) for v in probs]
-    if any(v < 0.0 or v > 1.0 for v in p):
-        raise ValueError("probabilities must lie in [0, 1]")
-    if not 0 <= j <= len(p):
-        raise ValueError("j must lie in 0..len(probs)")
-    total = 0.0
-    for chosen in itertools.combinations(range(len(p)), j):
-        members = set(chosen)
-        term = 1.0
-        for idx, v in enumerate(p):
-            term *= v if idx in members else 1.0 - v
-        total += term
-    return total
-
-
-def _subset_weights(probs: np.ndarray, cap: int) -> np.ndarray:
-    """DP table W[m, j] = sum over m-subsets B of P(exactly j members of B occur).
-
-    One pass over the neighbors; states with j >= cap are dropped since they
-    can never fall back below the threshold. Cost O(len(probs) * m * cap).
-    """
-    y = len(probs)
-    w = np.zeros((y + 1, cap))
-    w[0, 0] = 1.0
-    for p in probs:
-        nxt = w.copy()
-        nxt[1:, :] += (1.0 - p) * w[:-1, :]
-        nxt[1:, 1:] += p * w[:-1, :-1]
-        w = nxt
-    return w
-
-
-def subset_cdf_average(neighbor_probs, n: int, k: int) -> float:
-    """Average, over all n-subsets B of the neighbors, of P(at most k-1 of B occur).
-
-    Computed in polynomial time by dynamic programming over the neighbor list;
-    agrees with explicit enumeration through gamma_exact.
-    """
-    probs = np.asarray(neighbor_probs, dtype=float)
-    y = len(probs)
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    if not k <= n <= y:
-        raise ValueError("need k <= n <= len(neighbor_probs)")
-    if np.any(probs < 0.0) or np.any(probs > 1.0):
-        raise ValueError("probabilities must lie in [0, 1]")
-    w = _subset_weights(probs, cap=k)
-    return float(w[n].sum() / math.comb(y, n))
-
-
-def p_last_opportunity(y: int, k: int, neighbor_probs) -> float:
-    """Probability of transmitting from one of the last y+1-k slots.
-
-    Conditions on the number n of earlier-slotted neighbors and requires that
-    at most k-1 of them actually transmit, averaged uniformly over which
-    neighbors hold the earlier slots.
-    """
-    probs = np.asarray(neighbor_probs, dtype=float)
-    if len(probs) != y:
-        raise ValueError("neighbor_probs must have length y")
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    if y < k:
-        raise ValueError("need y >= k; nodes with y < k transmit surely")
-    if np.any(probs < 0.0) or np.any(probs > 1.0):
-        raise ValueError("probabilities must lie in [0, 1]")
-    pmf = yt_pmf(y).pmf
-    w = _subset_weights(probs, cap=k)
-    total = 0.0
-    for n in range(k, y + 1):
-        total += pmf[n] * w[n].sum() / math.comb(y, n)
-    return float(total)
 
 
 class _SweepPlan:
@@ -233,20 +144,21 @@ class _SweepPlan:
         self.p_f = np.array(p_f)
         self.groups = []
         for (y, k), nodes in sorted(members.items()):
-            pmf = yt_pmf(y).pmf
+            pmf = yt_pmf(y)
             weights = np.array([pmf[n] / math.comb(y, n) for n in range(k, y + 1)])
             neighbors = np.array([topology.neighbor_lists[i] for i in nodes]).T
             self.groups.append((np.array(nodes), neighbors, k, weights))
 
     def p_lo(self, p: np.ndarray) -> np.ndarray:
-        """p_last_opportunity of every node against the iterate p; 0 where y < K."""
+        """Last-opportunity probability of every node against the iterate p; 0 where y < K."""
         out = np.zeros(len(p))
         for nodes, neighbors, k, weights in self.groups:
             q = p[neighbors]
             r = 1.0 - q
             y, g = q.shape
-            # w[m, j, node] is _subset_weights' W[m, j], one node per column;
-            # after c neighbors only the rows m <= c can be non-zero.
+            # w[m, j, node] is the sum, over m-subsets of the node's neighbors,
+            # of P(exactly j of them transmit); one node per column. After c
+            # neighbors only the rows m <= c can be non-zero.
             w = np.zeros((y + 1, k, g))
             w[0, 0] = 1.0
             for c in range(y):
@@ -266,11 +178,11 @@ def update_map(topology, k_assignment, current_p, *, plan: _SweepPlan | None = N
     """One Jacobi sweep of the coupled probability equations.
 
     Nodes with fewer neighbors than their redundancy constant map to exactly
-    1; all others map to p_first + p_last_opportunity evaluated against the
-    previous iterate. Output is clipped to [0, 1] against rounding. plan is
-    the (degree, K) grouping of this topology and k_assignment;
-    solve_fixed_point passes the one it built, and it is built here when
-    omitted.
+    1; all others map to p_first plus the last-opportunity probability
+    evaluated against the previous iterate. Output is clipped to [0, 1]
+    against rounding. plan is the (degree, K) grouping of this topology and
+    k_assignment; solve_fixed_point passes the one it built, and it is built
+    here when omitted.
     """
     p = np.asarray(current_p, dtype=float)
     if p.shape != (topology.n,):
@@ -362,34 +274,9 @@ def save_solution(path, topology, k_assignment, solution: ModelSolution, extra: 
     }
     if extra:
         doc.update(extra)
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
-def load_solution(path) -> dict:
-    """Read a solution JSON file; per-node records come back sorted by id."""
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    for field in ("converged", "iterations", "residual", "per_node"):
-        if field not in doc:
-            raise ValueError(f"{path}: missing field {field!r}")
-    doc["per_node"] = sorted(doc["per_node"], key=lambda rec: rec["id"])
-    return doc
+    write_json(path, doc)
 
 
 def save_solution_csv(path, topology, k_assignment, solution: ModelSolution) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["id", "degree", "k", "p_tx", "p_f", "p_lo"])
-        for i in range(topology.n):
-            writer.writerow(
-                [
-                    i,
-                    topology.degree(i),
-                    k_assignment.k[i],
-                    repr(float(solution.p_tx[i])),
-                    repr(float(solution.p_f[i])),
-                    repr(float(solution.p_lo[i])),
-                ]
-            )
+    rows = zip(range(topology.n), topology.degrees, k_assignment.k, solution.p_tx, solution.p_f, solution.p_lo)
+    write_csv(path, ["id", "degree", "k", "p_tx", "p_f", "p_lo"], rows)

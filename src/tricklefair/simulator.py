@@ -17,6 +17,8 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .io import write_csv, write_json
+
 CI95_Z = 1.96  # normal approximation quantile for two-sided 95%
 
 
@@ -138,19 +140,8 @@ def _estimate(counts: np.ndarray, params: TrickleParams):
     return mean_p, half
 
 
-def estimate_probabilities(result: SimulationResult):
-    """Mean per-node frequency over runs and 95% CI half-widths.
-
-    The CI uses a normal approximation over the per-run frequencies and is
-    None when the result holds fewer than two runs.
-    """
-    return _estimate(result.counts, result.params)
-
-
 def save_result(path, result: SimulationResult, extra: dict | None = None) -> None:
     """Write a simulation result as JSON (no trace; results stay compact)."""
-    import json
-
     params = result.params
     doc = {
         "params": {
@@ -172,30 +163,9 @@ def save_result(path, result: SimulationResult, extra: dict | None = None) -> No
     }
     if extra:
         doc.update(extra)
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
-def load_result(path) -> dict:
-    """Read a simulation result JSON file; per-node records sorted by id."""
-    import json
-
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    for field in ("params", "per_node"):
-        if field not in doc:
-            raise ValueError(f"{path}: missing field {field!r}")
-    doc["per_node"] = sorted(doc["per_node"], key=lambda rec: rec["id"])
-    return doc
+    write_json(path, doc)
 
 
 def save_result_csv(path, result: SimulationResult) -> None:
-    import csv
-
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["id", "mean_p", "ci95"])
-        for i in range(result.counts.shape[1]):
-            ci = "" if result.ci95 is None else repr(float(result.ci95[i]))
-            writer.writerow([i, repr(float(result.mean_p[i])), ci])
+    ci95 = [""] * len(result.mean_p) if result.ci95 is None else result.ci95
+    write_csv(path, ["id", "mean_p", "ci95"], zip(range(len(result.mean_p)), result.mean_p, ci95))

@@ -13,6 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .io import write_json
+
 # The unit-disk test is inclusive with a tiny relative slack so that exact
 # radii such as sqrt(2) on an integer grid keep their boundary pairs despite
 # floating-point rounding.
@@ -114,8 +116,9 @@ class Topology:
     def from_positions(cls, positions, radio_range: float) -> "Topology":
         """Build a unit-disk topology: edge iff distance <= radio_range."""
         pos = _check_positions(positions, None)
-        if radio_range <= 0:
-            raise TopologyError("radio range must be positive")
+        # written so that NaN fails it too
+        if not 0 < radio_range < math.inf:
+            raise TopologyError("radio range must be positive and finite")
         n = pos.shape[0]
         limit = radio_range * radio_range * (1.0 + RANGE_SLACK)
         adjacency: list[list[int]] = [[] for _ in range(n)]
@@ -140,6 +143,10 @@ def _check_positions(positions, n: int | None) -> np.ndarray:
     if not np.all(np.isfinite(pos)):
         raise TopologyError("positions must be finite")
     return pos
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)  # JSON true is an int to Python
 
 
 def generate_grid(rows: int, cols: int, spacing: float = 1.0, radio_range: float = 1.0) -> Topology:
@@ -189,9 +196,7 @@ def save_topology(topology: Topology, path) -> None:
         "range": topology.radio_range,
         "edges": None if topology.radio_range is not None else [list(e) for e in topology.edges],
     }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(path, doc)
 
 
 def load_topology(path) -> Topology:
@@ -221,7 +226,7 @@ def load_topology(path) -> Topology:
         if not isinstance(rec, dict) or "id" not in rec:
             raise TopologyError(f"{path}: every node record needs an 'id' field")
         i = rec["id"]
-        if not isinstance(i, int):
+        if not _is_int(i):
             raise TopologyError(f"{path}: node id {i!r} is not an integer")
         if i in seen:
             raise TopologyError(f"{path}: duplicate node id {i}")
@@ -253,8 +258,8 @@ def load_topology(path) -> Topology:
     if not isinstance(edges, list):
         raise TopologyError(f"{path}: field 'edges' must be a list of [i, j] pairs")
     for e in edges:
-        if not (isinstance(e, list) and len(e) == 2):
-            raise TopologyError(f"{path}: edge {e!r} is not an [i, j] pair")
+        if not (isinstance(e, list) and len(e) == 2 and all(_is_int(v) for v in e)):
+            raise TopologyError(f"{path}: edge {e!r} is not an [i, j] pair of integers")
     try:
         return Topology.from_edges(n, edges, positions)
     except TopologyError as exc:

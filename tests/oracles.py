@@ -1,0 +1,105 @@
+"""Scalar reference implementations the tests compare the package against.
+
+The model evaluates its formulas for whole (degree, K) groups at once; these
+are the one-node-at-a-time versions, written for clarity rather than speed.
+"""
+import itertools
+import math
+
+import numpy as np
+
+from tricklefair import yt_pmf
+from tricklefair.simulator import CI95_Z
+
+
+def gamma_exact(j: int, probs) -> float:
+    """Probability that exactly j of the given independent events occur.
+
+    Brute-force subset enumeration, exponential in len(probs); kept as the
+    reference oracle for the polynomial-time path.
+    """
+    p = [float(v) for v in probs]
+    if any(v < 0.0 or v > 1.0 for v in p):
+        raise ValueError("probabilities must lie in [0, 1]")
+    if not 0 <= j <= len(p):
+        raise ValueError("j must lie in 0..len(probs)")
+    total = 0.0
+    for chosen in itertools.combinations(range(len(p)), j):
+        members = set(chosen)
+        term = 1.0
+        for idx, v in enumerate(p):
+            term *= v if idx in members else 1.0 - v
+        total += term
+    return total
+
+
+def _subset_weights(probs: np.ndarray, cap: int) -> np.ndarray:
+    """DP table W[m, j] = sum over m-subsets B of P(exactly j members of B occur).
+
+    One pass over the neighbors; states with j >= cap are dropped since they
+    can never fall back below the threshold. Cost O(len(probs) * m * cap).
+    """
+    y = len(probs)
+    w = np.zeros((y + 1, cap))
+    w[0, 0] = 1.0
+    for p in probs:
+        nxt = w.copy()
+        nxt[1:, :] += (1.0 - p) * w[:-1, :]
+        nxt[1:, 1:] += p * w[:-1, :-1]
+        w = nxt
+    return w
+
+
+def subset_cdf_average(neighbor_probs, n: int, k: int) -> float:
+    """Average, over all n-subsets B of the neighbors, of P(at most k-1 of B occur).
+
+    Computed in polynomial time by dynamic programming over the neighbor list;
+    agrees with explicit enumeration through gamma_exact.
+    """
+    probs = np.asarray(neighbor_probs, dtype=float)
+    y = len(probs)
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    if not k <= n <= y:
+        raise ValueError("need k <= n <= len(neighbor_probs)")
+    if np.any(probs < 0.0) or np.any(probs > 1.0):
+        raise ValueError("probabilities must lie in [0, 1]")
+    w = _subset_weights(probs, cap=k)
+    return float(w[n].sum() / math.comb(y, n))
+
+
+def p_last_opportunity(y: int, k: int, neighbor_probs) -> float:
+    """Probability of transmitting from one of the last y+1-k slots.
+
+    Conditions on the number n of earlier-slotted neighbors and requires that
+    at most k-1 of them actually transmit, averaged uniformly over which
+    neighbors hold the earlier slots.
+    """
+    probs = np.asarray(neighbor_probs, dtype=float)
+    if len(probs) != y:
+        raise ValueError("neighbor_probs must have length y")
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    if y < k:
+        raise ValueError("need y >= k; nodes with y < k transmit surely")
+    if np.any(probs < 0.0) or np.any(probs > 1.0):
+        raise ValueError("probabilities must lie in [0, 1]")
+    pmf = yt_pmf(y)
+    w = _subset_weights(probs, cap=k)
+    total = 0.0
+    for n in range(k, y + 1):
+        total += pmf[n] * w[n].sum() / math.comb(y, n)
+    return float(total)
+
+
+def estimate_probabilities(result):
+    """Mean per-node frequency over runs and 95% CI half-widths, from the counts alone.
+
+    The CI is the normal approximation over the per-run frequencies and is
+    None when the result holds fewer than two runs.
+    """
+    freqs = result.counts / result.params.measured_intervals
+    runs = freqs.shape[0]
+    if runs < 2:
+        return freqs.mean(axis=0), None
+    return freqs.mean(axis=0), CI95_Z * freqs.std(axis=0, ddof=1) / math.sqrt(runs)

@@ -44,17 +44,17 @@ from tricklefair import (
     expected_message_count,
     fairness,
     fixed_policy,
-    gamma_exact,
     generate_grid,
     heuristic_policy,
     run_steady_state,
     solve_fixed_point,
-    subset_cdf_average,
     yt_pmf,
 )
 from tricklefair.cli import bundled_random_topology, main as cli_main
 from tricklefair.model import MAX_DEGREE
 from tricklefair.simulator import CI95_Z
+
+from oracles import gamma_exact, subset_cdf_average
 
 # reference fairness statistics for the fixed-K sweep on the 7x7 grid,
 # per K: (max probability, min probability, population variance)
@@ -267,11 +267,11 @@ def test_gate5_exact_small_instance_properties():
     sol = solve_fixed_point(two, assign_k(two, fixed_policy(1)))
     fixed_point_ok = np.allclose(sol.p_tx, 4 / 7, atol=1e-9)
 
-    sums_ok = all(abs(yt_pmf(y).pmf.sum() - 1.0) <= 1e-12 for y in range(MAX_DEGREE + 1))
+    sums_ok = all(abs(yt_pmf(y).sum() - 1.0) <= 1e-12 for y in range(MAX_DEGREE + 1))
 
     quad_ok = True
     for y in range(21):
-        pmf = yt_pmf(y).pmf
+        pmf = yt_pmf(y)
         for n in range(y + 1):
             val, _ = integrate.quad(
                 lambda u: 2.0 * math.comb(y, n) * u**n * (1.0 - u) ** (y - n),

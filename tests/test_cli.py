@@ -126,6 +126,40 @@ def test_compare_rejects_node_count_mismatch(tmp_path, grid_file):
     assert run_cli("compare", "--model", sol, "--sim", sim, "-o", tmp_path / "c.csv") != 0
 
 
+@pytest.mark.parametrize(
+    "which, mutate",
+    [
+        ("model", lambda doc: doc["per_node"][0].pop("p_tx")),
+        ("model", lambda doc: doc["per_node"][3].pop("id")),
+        ("model", lambda doc: doc.update(per_node=5)),
+        ("model", lambda doc: doc["per_node"][1].update(id=True)),  # True == 1
+        ("sim", lambda doc: doc["per_node"][1].update(id=49)),
+        ("sim", lambda doc: doc["per_node"][2].update(mean_p=None)),
+    ],
+    ids=["no-p_tx", "no-id", "per_node-not-a-list", "boolean-id", "ids-not-dense", "null-mean_p"],
+)
+def test_compare_rejects_malformed_records(tmp_path, grid_file, capsys, which, mutate):
+    files = {"model": tmp_path / "sol.json", "sim": tmp_path / "sim.json"}
+    run_cli("solve", "--topo", grid_file, "--fixed-k", 2, "-o", files["model"])
+    run_cli("simulate", "--topo", grid_file, "--fixed-k", 2, "--runs", 2, "--intervals", 2, "-o", files["sim"])
+    doc = json.loads(files[which].read_text())
+    mutate(doc)
+    files[which].write_text(json.dumps(doc))
+    capsys.readouterr()
+    out = tmp_path / "cmp.csv"
+    assert run_cli("compare", "--model", files["model"], "--sim", files["sim"], "-o", out) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("radio_range", ["nan", "inf"])
+def test_gen_rejects_non_finite_range(tmp_path, capsys, radio_range):
+    out = tmp_path / "grid.json"
+    assert run_cli("gen", "grid", "--rows", 3, "--cols", 3, "--range", radio_range, "-o", out) == 4
+    assert "radio range must be positive and finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_missing_topology_file_is_io_error(tmp_path):
     code = run_cli("solve", "--topo", tmp_path / "absent.json", "--fixed-k", 1, "-o", tmp_path / "s.json")
     assert code == 4

@@ -1,0 +1,57 @@
+"""Byte-exact outputs of the file writers.
+
+Every file pinned here has contents that do not depend on solver floats
+(whose last bits can differ across BLAS builds): topology geometry, seeded
+simulation counts, a solve in which every node has fewer neighbors than K
+(so p_tx = p_f = 1.0 and p_lo = 0.0 exactly), and library CSV writers fed
+fixed values. The commands run inside tmp_path with relative paths, so the
+embedded manifests do not depend on where the test runs.
+"""
+import hashlib
+import math
+
+from tricklefair import compare, export_surface, generate_grid
+from tricklefair.cli import main
+from tricklefair.metrics import save_comparison_csv
+
+GOLDEN_SHA256 = {
+    "grid.json": "4ccf258f54b8d22681166ede9a58bb0d0334c2b16feecf5546b8f3282ba8fe4c",
+    "sim.json": "7b87f8df12a3ac4ac990724b226837322f84ffb5588180ffe363847efbafc2f9",
+    "sim.csv": "d0c72b4322b9e186847fd81773a266ed861d401896040d1ba5f2bc34e091f5c2",
+    "sol.json": "1103af2f4978bf1585d639b75d1077c9af468cec6c8c490df2f8d74431934191",
+    "sol.csv": "683b1f2f20ac1f9b6af21496fef974e2c06fa0c36a495b147c54b499487d302e",
+    "cmp.csv": "563420df1a1fc5183e8cf17dd3a089d8ca2cfa52938863dbdc7a153a61c7f4e4",
+    "surface.csv": "c80ca8e493866e6c7f7ca7024ba8ff953ad056e8e66f75d5b29978b8e1d842be",
+    "cmp_lib.csv": "262128f0b6bccb9c12d75f792a8b7ef83bc5baea09059dde5183a0ea4afd7f11",
+    "t3/sim_offset2_step3.json": "55f9b7d537daafb5e2a9b25d75bbcb48ba055ecc8f69a91951f21042a32efbbd",
+    "t3/sim_offset2_step3.csv": "818b5a608e9a76a613c19761fad879241ddbae4313053b713f64f1931c9c61de",
+    "t3/sim_offset0_step3.json": "7e4de91d762d8a9a3a80a8d677c415c7d8c0899a35ef55080f3d3e4a3734016b",
+    "t3/sim_offset0_step3.csv": "c731b1b01b4156fe814e006ea774417fbf67e3278a82402b1cb7815d93dfd827",
+}
+
+
+def _sha256(path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def test_written_bytes_are_pinned(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert main(["gen", "grid", "--rows", "3", "--cols", "4", "-o", "grid.json"]) == 0
+    assert main(
+        ["simulate", "--topo", "grid.json", "--fixed-k", "2", "--runs", "3", "--intervals", "4",
+         "--seed", "5", "-o", "sim.json", "--csv", "sim.csv"]
+    ) == 0
+    # the 3x4 grid's maximum degree is 8, so K = 9 forces every p_tx to 1.0
+    assert main(["solve", "--topo", "grid.json", "--fixed-k", "9", "-o", "sol.json", "--csv", "sol.csv"]) == 0
+    assert main(["compare", "--model", "sol.json", "--sim", "sim.json", "-o", "cmp.csv"]) == 0
+
+    grid = generate_grid(3, 4, 0.5, 1.0)
+    export_surface(grid, [i / 11 for i in range(grid.n)], "surface.csv")
+    p_model = [1 / 3, 0.1, 1.0, 0.0, math.pi / 4]
+    p_sim = [0.25, 0.2, 0.95, 1e-7, 2 / 3]
+    save_comparison_csv("cmp_lib.csv", [1, 2, 3, 4, 5], [1, 1, 2, 2, 3], compare(p_model, p_sim))
+
+    assert main(["reproduce", "--table", "3", "--out", "t3", "--runs", "2", "--intervals", "2"]) == 0
+
+    got = {name: _sha256(tmp_path / name) for name in GOLDEN_SHA256}
+    assert got == GOLDEN_SHA256

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -5,11 +7,12 @@ from tricklefair import (
     Topology,
     TrickleParams,
     assign_k,
-    estimate_probabilities,
     fixed_policy,
     run_steady_state,
 )
-from tricklefair.simulator import load_result, save_result, save_result_csv
+from tricklefair.simulator import save_result, save_result_csv
+
+from oracles import estimate_probabilities
 
 
 def test_isolated_node_always_transmits():
@@ -146,7 +149,7 @@ def test_result_round_trip(tmp_path, two_node):
     res = run_steady_state(two_node, ka, TrickleParams(measured_intervals=5, runs=3, base_seed=8))
     path = tmp_path / "sim.json"
     save_result(path, res)
-    doc = load_result(path)
+    doc = json.loads(path.read_text())
     assert doc["params"]["runs"] == 3
     assert len(doc["per_node"]) == 2
     assert doc["per_node"][0]["counts_per_run"] == res.counts[:, 0].tolist()

@@ -174,6 +174,36 @@ def test_load_rejects_one_sided_coordinate(tmp_path):
         load_topology(path)
 
 
+@pytest.mark.parametrize("radio_range", [math.nan, math.inf, -1.0])
+def test_rejects_non_positive_or_non_finite_range(tmp_path, radio_range):
+    positions = [[0.0, 0.0], [1.0, 0.0]]
+    with pytest.raises(TopologyError, match="positive and finite"):
+        Topology.from_positions(positions, radio_range)
+    nodes = [{"id": i, "x": x, "y": y} for i, (x, y) in enumerate(positions)]
+    doc = {"nodes": nodes, "range": radio_range, "edges": None}
+    path = tmp_path / "range.json"
+    path.write_text(json.dumps(doc))  # writes NaN / Infinity literals
+    with pytest.raises(TopologyError, match="positive and finite"):
+        load_topology(path)
+
+
+def test_load_rejects_boolean_id(tmp_path):
+    doc = {"nodes": [{"id": 0}, {"id": True}], "range": None, "edges": []}
+    path = tmp_path / "bool.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(TopologyError, match="is not an integer"):
+        load_topology(path)
+
+
+@pytest.mark.parametrize("edge", [[0.9, 1.7], [True, 2], [0, "1"]])
+def test_load_rejects_non_integer_edge_endpoints(tmp_path, edge):
+    doc = {"nodes": [{"id": 0}, {"id": 1}, {"id": 2}], "range": None, "edges": [[0, 2], edge]}
+    path = tmp_path / "edges.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(TopologyError, match="pair of integers"):
+        load_topology(path)
+
+
 def test_range_mode_needs_positions(tmp_path):
     doc = {"nodes": [{"id": 0}, {"id": 1}], "range": 1.0, "edges": None}
     path = tmp_path / "nopos.json"
