@@ -18,18 +18,12 @@ from .metrics import (
     fairness,
 )
 from .model import (
-    MAX_DEGREE,
     ModelSolution,
     SolverConfig,
     expected_message_count,
-    p_first,
     solve_fixed_point,
-    update_map,
-    yt_pmf,
 )
 from .redundancy import (
-    DEFAULT_OFFSET,
-    DEFAULT_STEP,
     KAssignment,
     assign_k,
     calculate_k,
@@ -38,7 +32,6 @@ from .redundancy import (
 )
 from .simulator import (
     SimulationResult,
-    TraceEvent,
     TrickleParams,
     run_steady_state,
 )
@@ -52,9 +45,6 @@ from .topology import (
 )
 
 __all__ = [
-    "MAX_DEGREE",
-    "DEFAULT_OFFSET",
-    "DEFAULT_STEP",
     "Comparison",
     "FairnessReport",
     "KAssignment",
@@ -63,7 +53,6 @@ __all__ = [
     "SolverConfig",
     "Topology",
     "TopologyError",
-    "TraceEvent",
     "TrickleParams",
     "assign_k",
     "calculate_k",
@@ -77,10 +66,7 @@ __all__ = [
     "generate_random_udg",
     "heuristic_policy",
     "load_topology",
-    "p_first",
     "run_steady_state",
     "save_topology",
     "solve_fixed_point",
-    "update_map",
-    "yt_pmf",
 ]

@@ -236,10 +236,11 @@ def cmd_reproduce(args) -> int:
             }
             columns.append((f"{source}_{label}", [values[s] for s in stats]))
 
-    with open(rollup_path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("statistic," + ",".join(name for name, _ in columns) + "\n")
-        for row, stat in enumerate(stats):
-            fh.write(stat + "," + ",".join(repr(vals[row]) for _, vals in columns) + "\n")
+    io.write_csv(
+        rollup_path,
+        ["statistic"] + [name for name, _ in columns],
+        [[stat] + [vals[row] for _, vals in columns] for row, stat in enumerate(stats)],
+    )
 
     width = max(len(s) for s in stats) + 2
     col = max(12, max(len(name) for name, _ in columns) + 2)

@@ -42,7 +42,7 @@ def fairness(probabilities, source: str = "model") -> FairnessReport:
     p = np.asarray(probabilities, dtype=float)
     if p.ndim != 1 or p.size == 0:
         raise ValueError("probabilities must be a non-empty 1D sequence")
-    if np.any(p < 0.0) or np.any(p > 1.0):
+    if not np.all((p >= 0.0) & (p <= 1.0)):  # NaN fails it too
         raise ValueError("probabilities must lie in [0, 1]")
     return FairnessReport(
         max_p=float(p.max()),

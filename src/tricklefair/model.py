@@ -4,9 +4,14 @@ With unsynchronized fixed-length intervals, the firing instants of a node's
 neighbors land uniformly over the node's own interval, so the number of them
 earlier than the node's instant T ~ U[I/2, I) is binomial with success
 probability T/I. Marginalizing over T gives a closed-form mass function with
-exact dyadic values:
+exact rational values:
 
     P(earlier count = n) = 2/(y+1) * 2^-(y+1) * sum_{m=0}^{n} C(y+1, m)
+
+degree_table computes it once per degree, in exact integer arithmetic, together
+with its cdf and the weights of the subset sums below, each value rounded
+once; every other quantity of the model is read from that table. Degrees up
+to MAX_DEGREE = 512 are supported.
 
 A node with y neighbors and redundancy constant K transmits when it draws one
 of the first K instants, or a later instant while fewer than K of the
@@ -26,14 +31,17 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import accumulate
 
 import numpy as np
 
 from .io import write_csv, write_json
 
-# Degrees beyond this are rejected rather than risking loss of the exact
-# dyadic arithmetic guarantees in downstream float conversions.
-MAX_DEGREE = 64
+# The largest neighbor count the model evaluates. Up to it every weight
+# pmf[n] / C(y, n) is a normal float and every subset-DP entry, at most
+# C(y, n) <= 2^y, is finite; the tests check the table against exact
+# rational arithmetic up to here.
+MAX_DEGREE = 512
 
 _STALL_LIMIT = 10  # stalled iterations in a row before damping drops
 # An iteration stalls unless it shrinks the defect by at least this fraction.
@@ -79,47 +87,34 @@ class ModelSolution:
     converged: bool
 
 
-@lru_cache(maxsize=None)
-def _yt_pmf_values(y: int) -> tuple[float, ...]:
-    # Exact dyadic rationals: numerator and denominator stay integers until
-    # the final correctly-rounded float division.
-    denom = (y + 1) << (y + 1)
-    values = []
-    acc = 0
-    for n in range(y + 1):
-        acc += math.comb(y + 1, n)
-        values.append(2 * acc / denom)
-    return tuple(values)
+@lru_cache(maxsize=MAX_DEGREE + 1)  # one entry per supported degree
+def degree_table(y: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(pmf, cdf, weights) of the earlier-instant count for y neighbors, read-only.
+
+    pmf[n] = P(count = n) and cdf[n] = P(count <= n) for n = 0..y, so that
+    p_first(y, K) = cdf[K - 1] and cdf[y] = 1; weights[n] = pmf[n] / C(y, n)
+    scales the subset sum over n-subsets. Each value is an exact integer ratio
+    rounded once by Python's correctly rounded int / int division: with
+    run[n] = sum_{m<=n} C(y+1, m), pmf[n] = run[n] / ((y+1) 2^y).
+    """
+    if not 0 <= y <= MAX_DEGREE:
+        raise ValueError(f"degree {y} is outside the supported range 0..{MAX_DEGREE}")
+    denom = (y + 1) << y
+    run = list(accumulate(math.comb(y + 1, m) for m in range(y + 1)))
+    columns = (
+        [r / denom for r in run],
+        [c / denom for c in accumulate(run)],
+        [r / (denom * math.comb(y, n)) for n, r in enumerate(run)],
+    )
+    arrays = [np.array(col) for col in columns]
+    for arr in arrays:
+        arr.flags.writeable = False  # shared by every caller through the cache
+    return tuple(arrays)
 
 
 def yt_pmf(y: int) -> np.ndarray:
-    """Mass function of the earlier-instant count for a node with y neighbors."""
-    if y < 0:
-        raise ValueError("neighbor count must be >= 0")
-    if y > MAX_DEGREE:
-        raise ValueError(f"degree {y} exceeds the supported maximum of {MAX_DEGREE}")
-    return np.array(_yt_pmf_values(y))
-
-
-def p_first(y: int, k: int) -> float:
-    """Probability of drawing one of the first k instants among y+1 unordered ones.
-
-    Equals 1 when k > y (the node always holds an early enough slot).
-    """
-    if y < 0:
-        raise ValueError("neighbor count must be >= 0")
-    if k < 1:
-        raise ValueError("redundancy constant must be >= 1")
-    if k > y:
-        return 1.0
-    if y > MAX_DEGREE:
-        raise ValueError(f"degree {y} exceeds the supported maximum of {MAX_DEGREE}")
-    acc = 0
-    run = 0
-    for n in range(k):
-        run += math.comb(y + 1, n)
-        acc += run
-    return 2 * acc / ((y + 1) << (y + 1))
+    """Mass function of the earlier-instant count for a node with y neighbors (read-only)."""
+    return degree_table(y)[0]
 
 
 class _SweepPlan:
@@ -134,18 +129,19 @@ class _SweepPlan:
     def __init__(self, topology, k_assignment) -> None:
         if len(k_assignment.k) != topology.n:
             raise ValueError("k_assignment length does not match topology")
+        if min(k_assignment.k) < 1:
+            raise ValueError("redundancy constant must be >= 1")
         members: dict[tuple[int, int], list[int]] = {}
         p_f = []
         for i, (neigh, k) in enumerate(zip(topology.neighbor_lists, k_assignment.k)):
             y = len(neigh)
-            p_f.append(p_first(y, k))
+            p_f.append(degree_table(y)[1][min(k, y + 1) - 1])  # cdf[y] = 1 covers K > y
             if y >= k:
                 members.setdefault((y, k), []).append(i)
         self.p_f = np.array(p_f)
         self.groups = []
         for (y, k), nodes in sorted(members.items()):
-            pmf = yt_pmf(y)
-            weights = np.array([pmf[n] / math.comb(y, n) for n in range(k, y + 1)])
+            weights = degree_table(y)[2][k:]
             neighbors = np.array([topology.neighbor_lists[i] for i in nodes]).T
             self.groups.append((np.array(nodes), neighbors, k, weights))
 
@@ -187,7 +183,7 @@ def update_map(topology, k_assignment, current_p, *, plan: _SweepPlan | None = N
     p = np.asarray(current_p, dtype=float)
     if p.shape != (topology.n,):
         raise ValueError(f"current_p must have shape ({topology.n},)")
-    if np.any(p < 0.0) or np.any(p > 1.0):
+    if not np.all((p >= 0.0) & (p <= 1.0)):  # NaN fails it too
         raise ValueError("current_p entries must lie in [0, 1]")
     if plan is None:
         plan = _SweepPlan(topology, k_assignment)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .io import write_json
+from .io import _is_finite_number, write_json
 
 # The unit-disk test is inclusive with a tiny relative slack so that exact
 # radii such as sqrt(2) on an integer grid keep their boundary pairs despite
@@ -234,7 +234,9 @@ def load_topology(path) -> Topology:
         x, y = rec.get("x"), rec.get("y")
         if (x is None) != (y is None):
             raise TopologyError(f"{path}: node {i} has only one of 'x'/'y'")
-        coords[i] = None if x is None else (float(x), float(y))
+        if x is not None and not (_is_finite_number(x) and _is_finite_number(y)):
+            raise TopologyError(f"{path}: node {i}: 'x' and 'y' must be finite numbers")
+        coords[i] = None if x is None else (x, y)
     if seen != set(range(n)):
         raise TopologyError(f"{path}: node ids must be exactly 0..{n - 1}")
 
@@ -251,9 +253,11 @@ def load_topology(path) -> Topology:
         raise TopologyError(f"{path}: exactly one of 'range' / 'edges' must be non-null")
 
     if radio_range is not None:
+        if not _is_finite_number(radio_range):
+            raise TopologyError(f"{path}: 'range' must be a positive and finite number")
         if positions is None:
             raise TopologyError(f"{path}: 'range' mode requires node positions")
-        return Topology.from_positions(positions, float(radio_range))
+        return Topology.from_positions(positions, radio_range)
 
     if not isinstance(edges, list):
         raise TopologyError(f"{path}: field 'edges' must be a list of [i, j] pairs")

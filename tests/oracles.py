@@ -8,8 +8,27 @@ import math
 
 import numpy as np
 
-from tricklefair import yt_pmf
+from tricklefair.model import yt_pmf
 from tricklefair.simulator import CI95_Z
+
+
+def p_first(y: int, k: int) -> float:
+    """Probability of drawing one of the first k instants among y+1 unordered ones.
+
+    Equals 1 when k > y (the node always holds an early enough slot).
+    """
+    if y < 0:
+        raise ValueError("neighbor count must be >= 0")
+    if k < 1:
+        raise ValueError("redundancy constant must be >= 1")
+    if k > y:
+        return 1.0
+    acc = 0
+    run = 0
+    for n in range(k):
+        run += math.comb(y + 1, n)
+        acc += run
+    return 2 * acc / ((y + 1) << (y + 1))
 
 
 def gamma_exact(j: int, probs) -> float:

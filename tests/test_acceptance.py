@@ -48,10 +48,9 @@ from tricklefair import (
     heuristic_policy,
     run_steady_state,
     solve_fixed_point,
-    yt_pmf,
 )
 from tricklefair.cli import bundled_random_topology, main as cli_main
-from tricklefair.model import MAX_DEGREE
+from tricklefair.model import MAX_DEGREE, yt_pmf
 from tricklefair.simulator import CI95_Z
 
 from oracles import gamma_exact, subset_cdf_average
@@ -314,7 +313,7 @@ def test_gate5_exact_small_instance_properties():
 
     checks = {
         "two-node fixed point = 4/7 (1e-9)": fixed_point_ok,
-        "pmf sums to 1 for y <= 64 (1e-12)": sums_ok,
+        f"pmf sums to 1 for y <= {MAX_DEGREE} (1e-12)": sums_ok,
         "pmf matches quadrature for y <= 20 (1e-10)": quad_ok,
         "DP equals enumeration, 1000 cases (1e-12)": dp_ok,
         "y < K forces p = 1 (model and simulation)": model_forced_ok and sim_forced_ok,

@@ -3,8 +3,9 @@ import json
 
 import pytest
 
-from tricklefair import load_topology
+from tricklefair import Topology, load_topology, save_topology
 from tricklefair.cli import bundled_random_topology, main
+from tricklefair.model import MAX_DEGREE
 
 
 def run_cli(*argv):
@@ -71,6 +72,40 @@ def test_solve_isolated_node_probability_one(tmp_path, capsys):
     assert doc["per_node"][0]["p_tx"] == 1.0
 
 
+@pytest.mark.parametrize("leaves", [69, MAX_DEGREE])
+def test_solve_star_up_to_degree_cap(tmp_path, leaves):
+    topo = tmp_path / "star.json"
+    save_topology(Topology.from_edges(leaves + 1, [(0, i) for i in range(1, leaves + 1)]), topo)
+    out = tmp_path / "sol.json"
+    assert run_cli("solve", "--topo", topo, "--fixed-k", 1, "-o", out) == 0
+    p = [rec["p_tx"] for rec in json.loads(out.read_text())["per_node"]]
+    assert len(p) == leaves + 1 and all(0.0 <= v <= 1.0 for v in p)
+
+
+def test_solve_rejects_degree_above_cap(tmp_path, capsys):
+    topo = tmp_path / "star.json"
+    save_topology(Topology.from_edges(MAX_DEGREE + 2, [(0, i) for i in range(1, MAX_DEGREE + 2)]), topo)
+    assert run_cli("solve", "--topo", topo, "--fixed-k", 1, "-o", tmp_path / "sol.json") == 2
+    assert f"degree {MAX_DEGREE + 1} is outside the supported range 0..{MAX_DEGREE}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("range", [1.5]), ("range", "1.5"), ("range", True), ("x", [0]), ("y", "1"), ("x", False)],
+)
+def test_solve_rejects_non_numeric_topology_fields(tmp_path, capsys, grid_file, field, value):
+    doc = json.loads(grid_file.read_text())
+    if field == "range":
+        doc["range"] = value
+    else:
+        doc["nodes"][3][field] = value
+    grid_file.write_text(json.dumps(doc))
+    out = tmp_path / "sol.json"
+    assert run_cli("solve", "--topo", grid_file, "--fixed-k", 1, "-o", out) == 4
+    assert "finite number" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_simulate_defaults_and_determinism(tmp_path, grid_file):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     args = ("simulate", "--topo", grid_file, "--fixed-k", 2, "--seed", 42)
@@ -135,8 +170,9 @@ def test_compare_rejects_node_count_mismatch(tmp_path, grid_file):
         ("model", lambda doc: doc["per_node"][1].update(id=True)),  # True == 1
         ("sim", lambda doc: doc["per_node"][1].update(id=49)),
         ("sim", lambda doc: doc["per_node"][2].update(mean_p=None)),
+        ("model", lambda doc: doc["per_node"][4].update(p_tx=10**400)),  # no float holds it
     ],
-    ids=["no-p_tx", "no-id", "per_node-not-a-list", "boolean-id", "ids-not-dense", "null-mean_p"],
+    ids=["no-p_tx", "no-id", "per_node-not-a-list", "boolean-id", "ids-not-dense", "null-mean_p", "huge-p_tx"],
 )
 def test_compare_rejects_malformed_records(tmp_path, grid_file, capsys, which, mutate):
     files = {"model": tmp_path / "sol.json", "sim": tmp_path / "sim.json"}
@@ -200,6 +236,20 @@ def test_reproduce_heuristic_table(tmp_path, capsys):
     model_doc = json.loads((out / "model_offset2_step3.json").read_text())
     msgs = sum(rec["p_tx"] for rec in model_doc["per_node"])
     assert float(rows[1][1]) == pytest.approx(msgs, abs=1e-12)
+    # written by csv.writer like every other CSV file: CRLF line ends and
+    # floats with the digits that read back to the manifest's values
+    raw = (out / "table3.csv").read_bytes()
+    assert raw.count(b"\r\n") == raw.count(b"\n") == 5
+    fields = {
+        "average_message_count": "message_count",
+        "max_probability": "max_p",
+        "min_probability": "min_p",
+        "variance": "variance",
+    }
+    for column, name in enumerate(rows[0][1:], start=1):
+        source, label = name.split("_", 1)
+        report = manifest["fairness"][label][source]
+        assert [float(r[column]) for r in rows[1:]] == [report[fields[r[0]]] for r in rows[1:]]
     stdout = capsys.readouterr().out
     assert "average_message_count" in stdout
 

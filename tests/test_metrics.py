@@ -1,4 +1,5 @@
 import csv
+import math
 
 import numpy as np
 import pytest
@@ -51,6 +52,8 @@ def test_fairness_validation():
         fairness([])
     with pytest.raises(ValueError):
         fairness([0.5, 1.2])
+    with pytest.raises(ValueError, match="lie in"):
+        fairness([math.nan, 0.5])
 
 
 def test_compare_identity_and_mismatch():

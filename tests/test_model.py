@@ -1,12 +1,15 @@
 import itertools
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import integrate
 
 from tricklefair import (
+    KAssignment,
     Topology,
     assign_k,
     expected_message_count,
@@ -14,15 +17,12 @@ from tricklefair import (
     generate_grid,
     generate_random_udg,
     heuristic_policy,
-    p_first,
     solve_fixed_point,
-    update_map,
-    yt_pmf,
 )
 from tricklefair.cli import bundled_random_topology
-from tricklefair.model import MAX_DEGREE, SolverConfig, save_solution
+from tricklefair.model import MAX_DEGREE, SolverConfig, degree_table, save_solution, update_map, yt_pmf
 
-from oracles import gamma_exact, p_last_opportunity, subset_cdf_average
+from oracles import gamma_exact, p_first, p_last_opportunity, subset_cdf_average
 
 
 def quad_pmf(y, n):
@@ -56,6 +56,18 @@ def scalar_update_map(topology, k_assignment, p):
     return out
 
 
+@st.composite
+def small_networks(draw):
+    """An edge-list topology of 1..12 nodes, a per-node K in 1..6 and an iterate p."""
+    n = draw(st.integers(1, 12))
+    pairs = list(itertools.combinations(range(n), 2))
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    topo = Topology.from_edges(n, [e for e, kept in zip(pairs, keep) if kept])
+    ks = draw(st.lists(st.integers(1, 6), min_size=n, max_size=n))
+    p = draw(st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n))
+    return topo, KAssignment(tuple(ks), {"mode": "drawn"}), np.array(p)
+
+
 class TestYtPmf:
     def test_no_neighbors(self):
         assert yt_pmf(0).tolist() == [1.0]
@@ -78,10 +90,36 @@ class TestYtPmf:
             assert abs(yt_pmf(y).sum() - 1.0) <= 1e-12
 
     def test_degree_cap(self):
-        with pytest.raises(ValueError, match="exceeds the supported maximum"):
+        with pytest.raises(ValueError, match=f"outside the supported range 0..{MAX_DEGREE}"):
             yt_pmf(MAX_DEGREE + 1)
         with pytest.raises(ValueError):
             yt_pmf(-1)
+
+
+class TestDegreeTable:
+    @pytest.mark.parametrize("y", [*range(71), 127, 128, 255, 256, 511, MAX_DEGREE])
+    def test_equals_exact_rationals(self, y):
+        # the closed form of the module docstring, evaluated in exact arithmetic
+        partial_sums = itertools.accumulate(math.comb(y + 1, m) for m in range(y + 1))
+        pmf = [Fraction(2 * s, (y + 1) * 2 ** (y + 1)) for s in partial_sums]
+        cdf = list(itertools.accumulate(pmf))
+        weights = [pmf[n] / math.comb(y, n) for n in range(y + 1)]
+        table = degree_table(y)
+        for got, exact in zip(table, (pmf, cdf, weights)):
+            assert got.tolist() == [float(v) for v in exact]
+        assert cdf[-1] == 1
+        # every weight is a normal float, so no digit is lost to underflow
+        assert min(weights) >= Fraction(np.finfo(float).tiny)
+
+    def test_cdf_is_the_scalar_p_first(self):
+        for y in (0, 1, 3, 8, 20, 64, 200):
+            cdf = degree_table(y)[1]
+            assert [cdf[k - 1] for k in range(1, y + 1)] == [p_first(y, k) for k in range(1, y + 1)]
+
+    def test_arrays_are_read_only(self):
+        for arr in degree_table(5):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 0.5
 
 
 class TestPFirst:
@@ -225,6 +263,8 @@ class TestUpdateMap:
         ka = assign_k(two_node, fixed_policy(1))
         with pytest.raises(ValueError):
             update_map(two_node, ka, [0.5, 1.5])
+        with pytest.raises(ValueError, match="lie in"):
+            update_map(two_node, ka, [math.nan, 0.5])
 
     def test_batched_map_matches_scalar_oracle(self, grid):
         udg = generate_random_udg(60, 10, 1.8, 2)
@@ -244,6 +284,15 @@ class TestUpdateMap:
         # the cases must keep exercising forced nodes, including isolated ones
         assert low_degree > 0 and isolated > 0
         assert len(set(assign_k(udg, heuristic_policy(3, 0)).k)) > 1
+
+    @settings(max_examples=50, deadline=None, derandomize=True, database=None)
+    @given(small_networks())
+    def test_random_networks_match_scalar_oracle(self, case):
+        topo, ka, p = case
+        out = update_map(topo, ka, p)
+        assert np.all((out >= 0.0) & (out <= 1.0))
+        assert np.all(out[topo.degrees < np.array(ka.k)] == 1.0)
+        assert np.max(np.abs(out - scalar_update_map(topo, ka, p))) <= 1e-13
 
     def test_k_assignment_length_mismatch(self, two_node):
         ka = assign_k(Topology.from_edges(3, [(0, 1)]), fixed_policy(1))
@@ -315,9 +364,13 @@ class TestSolveFixedPoint:
             assert sol.p_f + sol.p_lo == pytest.approx(scalar_update_map(grid, ka, sol.p_tx), abs=1e-13)
 
     def test_degree_cap_raises(self):
-        star = Topology.from_edges(66, [(0, i) for i in range(1, 66)])
-        with pytest.raises(ValueError, match="exceeds the supported maximum"):
+        star = Topology.from_edges(MAX_DEGREE + 2, [(0, i) for i in range(1, MAX_DEGREE + 2)])
+        with pytest.raises(ValueError, match=f"degree {MAX_DEGREE + 1} is outside the supported range"):
             solve_fixed_point(star, assign_k(star, fixed_policy(1)))
+
+    def test_rejects_k_below_one(self, two_node):
+        with pytest.raises(ValueError, match=">= 1"):
+            solve_fixed_point(two_node, KAssignment((1, 0), {"mode": "fixed", "k": 0}))
 
 
 def test_solution_round_trip(tmp_path, grid):

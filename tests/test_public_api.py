@@ -10,9 +10,6 @@ import tricklefair
 ROOT = Path(__file__).resolve().parent.parent
 
 PUBLIC_API = {
-    "MAX_DEGREE",
-    "DEFAULT_OFFSET",
-    "DEFAULT_STEP",
     "Comparison",
     "FairnessReport",
     "KAssignment",
@@ -21,7 +18,6 @@ PUBLIC_API = {
     "SolverConfig",
     "Topology",
     "TopologyError",
-    "TraceEvent",
     "TrickleParams",
     "assign_k",
     "calculate_k",
@@ -35,12 +31,9 @@ PUBLIC_API = {
     "generate_random_udg",
     "heuristic_policy",
     "load_topology",
-    "p_first",
     "run_steady_state",
     "save_topology",
     "solve_fixed_point",
-    "update_map",
-    "yt_pmf",
 }
 
 

@@ -187,6 +187,32 @@ def test_rejects_non_positive_or_non_finite_range(tmp_path, radio_range):
         load_topology(path)
 
 
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("range", [1.5], "'range' must be a positive and finite number"),
+        ("range", "1.5", "'range' must be a positive and finite number"),
+        ("range", True, "'range' must be a positive and finite number"),
+        ("range", 10**400, "'range' must be a positive and finite number"),
+        ("x", [0], "'x' and 'y' must be finite numbers"),
+        ("y", "1", "'x' and 'y' must be finite numbers"),
+        ("x", True, "'x' and 'y' must be finite numbers"),
+        ("y", math.inf, "'x' and 'y' must be finite numbers"),
+        ("x", 10**400, "'x' and 'y' must be finite numbers"),
+    ],
+)
+def test_load_requires_json_numbers(tmp_path, field, value, message):
+    doc = {"nodes": [{"id": 0, "x": 0.0, "y": 0.0}, {"id": 1, "x": 1, "y": 0}], "range": 1.5, "edges": None}
+    if field == "range":
+        doc["range"] = value
+    else:
+        doc["nodes"][1][field] = value
+    path = tmp_path / "typed.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(TopologyError, match=message):
+        load_topology(path)
+
+
 def test_load_rejects_boolean_id(tmp_path):
     doc = {"nodes": [{"id": 0}, {"id": True}], "range": None, "edges": []}
     path = tmp_path / "bool.json"
