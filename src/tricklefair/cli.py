@@ -97,9 +97,7 @@ def cmd_gen(args) -> int:
 def cmd_solve(args) -> int:
     topo = load_topology(args.topo)
     assignment = redundancy.assign_k(topo, _policy_from_args(args))
-    config = model.SolverConfig(
-        tolerance=args.tol, max_iterations=args.max_iter, damping=args.damping, init=args.init
-    )
+    config = model.SolverConfig(tolerance=args.tol, max_iterations=args.max_iter)
     solution = model.solve_fixed_point(topo, assignment, config)
     manifest = _manifest(args.topo, assignment.policy, solver=asdict(config))
     model.save_solution(args.output, topo, assignment, solution, extra={"manifest": manifest})
@@ -120,7 +118,6 @@ def cmd_simulate(args) -> int:
     topo = load_topology(args.topo)
     assignment = redundancy.assign_k(topo, _policy_from_args(args))
     params = simulator.TrickleParams(
-        interval_length=args.interval_length,
         measured_intervals=args.intervals,
         warmup_intervals=args.warmup,
         runs=args.runs,
@@ -190,12 +187,7 @@ def cmd_reproduce(args) -> int:
         topo_path = out / "random49.json"
     save_topology(topo, topo_path)
 
-    params = simulator.TrickleParams(
-        interval_length=args.interval_length,
-        measured_intervals=args.intervals,
-        runs=args.runs,
-        base_seed=args.seed,
-    )
+    params = simulator.TrickleParams(measured_intervals=args.intervals, runs=args.runs, base_seed=args.seed)
     configs = _table_configs(args.table)
     rollup_path = out / f"table{args.table}.csv"
     manifest_path = out / "manifest.json"
@@ -287,8 +279,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_policy_args(solve)
     solve.add_argument("--tol", type=float, default=1e-10)
     solve.add_argument("--max-iter", type=int, default=10000)
-    solve.add_argument("--damping", type=float, default=1.0)
-    solve.add_argument("--init", type=float, default=0.5)
     solve.add_argument("-o", "--output", required=True)
     solve.add_argument("--csv", help="also write per-node CSV")
     solve.set_defaults(func=cmd_solve)
@@ -298,7 +288,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_policy_args(sim)
     sim.add_argument("--intervals", type=int, default=10, help="measured intervals per run")
     sim.add_argument("--runs", type=int, default=30)
-    sim.add_argument("--interval-length", type=float, default=16.0, help="interval length in seconds")
     sim.add_argument("--warmup", type=int, default=2)
     sim.add_argument("--seed", type=int, default=1)
     sim.add_argument("-o", "--output", required=True)
@@ -317,7 +306,6 @@ def build_parser() -> argparse.ArgumentParser:
     rep.add_argument("--force", action="store_true", help="write into a non-empty directory")
     rep.add_argument("--intervals", type=int, default=10)
     rep.add_argument("--runs", type=int, default=30)
-    rep.add_argument("--interval-length", type=float, default=16.0)
     rep.add_argument("--seed", type=int, default=1)
     rep.set_defaults(func=cmd_reproduce)
 

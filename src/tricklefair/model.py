@@ -43,6 +43,7 @@ from .io import write_csv, write_json
 # rational arithmetic up to here.
 MAX_DEGREE = 512
 
+_INITIAL_P = 0.5  # starting probability of every node not forced to 1
 _STALL_LIMIT = 10  # stalled iterations in a row before damping drops
 # An iteration stalls unless it shrinks the defect by at least this fraction.
 _STALL_PROGRESS = 1e-3
@@ -53,26 +54,19 @@ _FALLBACK_DAMPING = 0.5
 class SolverConfig:
     """Fixed-point iteration controls.
 
-    damping is the initial mixing weight on the update; it falls back to 0.5
+    The iteration starts undamped from p = 0.5 and falls back to damping 0.5
     automatically after 10 iterations in a row that each shrink the defect
-    by less than 0.1% (see _STALL_LIMIT and _STALL_PROGRESS). init is the
-    starting probability for nodes that are not forced to 1.
+    by less than 0.1% (see _STALL_LIMIT and _STALL_PROGRESS).
     """
 
     tolerance: float = 1e-10
     max_iterations: int = 10000
-    damping: float = 1.0
-    init: float = 0.5
 
     def __post_init__(self) -> None:
         if self.tolerance <= 0:
             raise ValueError("tolerance must be positive")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
-        if not 0.0 < self.damping <= 1.0:
-            raise ValueError("damping must be in (0, 1]")
-        if not 0.0 <= self.init <= 1.0:
-            raise ValueError("init must be in [0, 1]")
 
 
 @dataclass(frozen=True)
@@ -110,11 +104,6 @@ def degree_table(y: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     for arr in arrays:
         arr.flags.writeable = False  # shared by every caller through the cache
     return tuple(arrays)
-
-
-def yt_pmf(y: int) -> np.ndarray:
-    """Mass function of the earlier-instant count for a node with y neighbors (read-only)."""
-    return degree_table(y)[0]
 
 
 class _SweepPlan:
@@ -201,9 +190,9 @@ def solve_fixed_point(topology, k_assignment, config: SolverConfig | None = None
     plan = _SweepPlan(topology, k_assignment)
     degrees = topology.degrees
     ks = np.array(k_assignment.k, dtype=int)
-    p = np.where(degrees < ks, 1.0, cfg.init)
+    p = np.where(degrees < ks, 1.0, _INITIAL_P)
 
-    alpha = cfg.damping
+    alpha = 1.0  # undamped until the stall test drops it to _FALLBACK_DAMPING
     stall = 0
     prev_defect = math.inf
     defect = math.inf

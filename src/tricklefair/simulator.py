@@ -6,14 +6,15 @@ interval a node draws a firing instant uniformly in the second half, counts
 consistent receptions since the interval began, and transmits at its instant
 only while that counter is below its redundancy constant. Deliveries are
 instantaneous and lossless to every radio neighbor; there is no radio or MAC
-modeling. Results are deterministic for a fixed base seed: run r, node i
-draws from an independent substream seeded with (base_seed, r, i).
+modeling. Time is measured in intervals: phases, instants and suppression
+depend only on positions within an interval, so results do not depend on
+the interval length. Results are deterministic for a fixed base seed: run r,
+node i draws from an independent substream seeded with (base_seed, r, i).
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -26,32 +27,18 @@ CI95_Z = 1.96  # normal approximation quantile for two-sided 95%
 class TrickleParams:
     """Scenario controls; defaults match the bundled study setup."""
 
-    interval_length: float = 16.0
     measured_intervals: int = 10
     warmup_intervals: int = 2
     runs: int = 30
     base_seed: int = 1
 
     def __post_init__(self) -> None:
-        # written so that NaN fails it too
-        if not 0.0 < self.interval_length < math.inf:
-            raise ValueError("interval_length must be positive and finite")
         if self.measured_intervals < 1:
             raise ValueError("measured_intervals must be >= 1")
         if self.warmup_intervals < 0:
             raise ValueError("warmup_intervals must be >= 0")
         if self.runs < 1:
             raise ValueError("runs must be >= 1")
-
-
-class TraceEvent(NamedTuple):
-    """One firing decision: the counter seen at the node's instant."""
-
-    run: int
-    node: int
-    interval: int
-    counter: int
-    transmitted: bool
 
 
 @dataclass(frozen=True)
@@ -62,12 +49,10 @@ class SimulationResult:
     mean_p: np.ndarray
     ci95: np.ndarray | None  # half-widths; None when runs < 2
     params: TrickleParams
-    trace: tuple[TraceEvent, ...] | None = None
 
 
-def _single_run(topology, ks, params: TrickleParams, run_idx: int, trace_out) -> np.ndarray:
+def _single_run(topology, ks, params: TrickleParams, run_idx: int) -> np.ndarray:
     n = topology.n
-    interval = params.interval_length
     # One trailing interval beyond the measured window keeps late-phase
     # neighbors firing while early-phase nodes finish their last measured
     # interval. Warmup intervals are discarded, but the start-up transient
@@ -80,10 +65,10 @@ def _single_run(topology, ks, params: TrickleParams, run_idx: int, trace_out) ->
     events = []
     for i in range(n):
         rng = np.random.default_rng((params.base_seed, run_idx, i))
-        phases[i] = rng.uniform(0.0, interval)
-        offsets = rng.uniform(interval / 2.0, interval, size=total)
+        phases[i] = rng.uniform(0.0, 1.0)
+        offsets = rng.uniform(0.5, 1.0, size=total)
         for m in range(total):
-            events.append((phases[i] + m * interval + offsets[m], i, m))
+            events.append((phases[i] + m + offsets[m], i, m))
     events.sort()  # ties (measure zero) break by ascending node id
 
     counter = [0] * n
@@ -96,15 +81,12 @@ def _single_run(topology, ks, params: TrickleParams, run_idx: int, trace_out) ->
         if current[i] != m:
             current[i] = m
             counter[i] = 0
-        fire = counter[i] < ks[i]
-        if trace_out is not None:
-            trace_out.append(TraceEvent(run_idx, i, m, counter[i], fire))
-        if not fire:
+        if counter[i] >= ks[i]:
             continue
         if first <= m < last:
             counts[i] += 1
         for j in neighbor_lists[i]:
-            mj = math.floor((t - phases[j]) / interval)
+            mj = math.floor(t - phases[j])
             if current[j] != mj:
                 current[j] = mj
                 counter[j] = 0
@@ -112,23 +94,15 @@ def _single_run(topology, ks, params: TrickleParams, run_idx: int, trace_out) ->
     return counts
 
 
-def run_steady_state(topology, k_assignment, params: TrickleParams, record_trace: bool = False) -> SimulationResult:
+def run_steady_state(topology, k_assignment, params: TrickleParams) -> SimulationResult:
     """Simulate `runs` independent repetitions and estimate per-node probabilities."""
     if len(k_assignment.k) != topology.n:
         raise ValueError("k_assignment length does not match topology")
-    ks = k_assignment.k
-    trace: list[TraceEvent] | None = [] if record_trace else None
     counts = np.empty((params.runs, topology.n), dtype=np.int64)
     for r in range(params.runs):
-        counts[r] = _single_run(topology, ks, params, r, trace)
+        counts[r] = _single_run(topology, k_assignment.k, params, r)
     mean_p, ci95 = _estimate(counts, params)
-    return SimulationResult(
-        counts=counts,
-        mean_p=mean_p,
-        ci95=ci95,
-        params=params,
-        trace=tuple(trace) if trace is not None else None,
-    )
+    return SimulationResult(counts=counts, mean_p=mean_p, ci95=ci95, params=params)
 
 
 def _estimate(counts: np.ndarray, params: TrickleParams):
@@ -141,11 +115,10 @@ def _estimate(counts: np.ndarray, params: TrickleParams):
 
 
 def save_result(path, result: SimulationResult, extra: dict | None = None) -> None:
-    """Write a simulation result as JSON (no trace; results stay compact)."""
+    """Write a simulation result as JSON: echoed parameters plus per-node records."""
     params = result.params
     doc = {
         "params": {
-            "interval_length": params.interval_length,
             "measured_intervals": params.measured_intervals,
             "warmup_intervals": params.warmup_intervals,
             "runs": params.runs,

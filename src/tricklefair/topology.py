@@ -43,9 +43,6 @@ class Topology:
     def n(self) -> int:
         return len(self.neighbor_lists)
 
-    def neighbors(self, node: int) -> tuple[int, ...]:
-        return self.neighbor_lists[node]
-
     def degree(self, node: int) -> int:
         return len(self.neighbor_lists[node])
 

@@ -8,7 +8,7 @@ import math
 
 import numpy as np
 
-from tricklefair.model import yt_pmf
+from tricklefair.model import degree_table
 from tricklefair.simulator import CI95_Z
 
 
@@ -103,7 +103,7 @@ def p_last_opportunity(y: int, k: int, neighbor_probs) -> float:
         raise ValueError("need y >= k; nodes with y < k transmit surely")
     if np.any(probs < 0.0) or np.any(probs > 1.0):
         raise ValueError("probabilities must lie in [0, 1]")
-    pmf = yt_pmf(y)
+    pmf = degree_table(y)[0]
     w = _subset_weights(probs, cap=k)
     total = 0.0
     for n in range(k, y + 1):

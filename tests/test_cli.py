@@ -114,21 +114,11 @@ def test_simulate_defaults_and_determinism(tmp_path, grid_file):
     assert a.read_bytes() == b.read_bytes()
     doc = json.loads(a.read_text())
     assert doc["params"] == {
-        "interval_length": 16.0,
         "measured_intervals": 10,
         "warmup_intervals": 2,
         "runs": 30,
         "base_seed": 42,
     }
-
-
-@pytest.mark.parametrize("length", ["nan", "inf", "-1"])
-def test_simulate_rejects_invalid_interval_length(tmp_path, grid_file, capsys, length):
-    out = tmp_path / "sim.json"
-    args = ("simulate", "--topo", grid_file, "--fixed-k", 1, "--runs", 2, "--interval-length", length, "-o", out)
-    assert run_cli(*args) == 2
-    assert "interval_length must be positive and finite" in capsys.readouterr().err
-    assert not out.exists()
 
 
 def test_simulate_single_run_has_null_ci(tmp_path, grid_file):

@@ -16,16 +16,16 @@ from tricklefair.metrics import save_comparison_csv
 
 GOLDEN_SHA256 = {
     "grid.json": "4ccf258f54b8d22681166ede9a58bb0d0334c2b16feecf5546b8f3282ba8fe4c",
-    "sim.json": "7b87f8df12a3ac4ac990724b226837322f84ffb5588180ffe363847efbafc2f9",
+    "sim.json": "ef429feb9d07b85e048741dfea4173d059fa50d9dd4523feeb2c66270f1fc157",
     "sim.csv": "d0c72b4322b9e186847fd81773a266ed861d401896040d1ba5f2bc34e091f5c2",
-    "sol.json": "1103af2f4978bf1585d639b75d1077c9af468cec6c8c490df2f8d74431934191",
+    "sol.json": "a93498a0d8787f8c393c33637d47d677aaabe26e8fd015157d94e9573c733189",
     "sol.csv": "683b1f2f20ac1f9b6af21496fef974e2c06fa0c36a495b147c54b499487d302e",
     "cmp.csv": "563420df1a1fc5183e8cf17dd3a089d8ca2cfa52938863dbdc7a153a61c7f4e4",
     "surface.csv": "c80ca8e493866e6c7f7ca7024ba8ff953ad056e8e66f75d5b29978b8e1d842be",
     "cmp_lib.csv": "262128f0b6bccb9c12d75f792a8b7ef83bc5baea09059dde5183a0ea4afd7f11",
-    "t3/sim_offset2_step3.json": "55f9b7d537daafb5e2a9b25d75bbcb48ba055ecc8f69a91951f21042a32efbbd",
+    "t3/sim_offset2_step3.json": "49da50f04b221f9a521443decf08bc244bd8e205d250a09852d245eb12000bfb",
     "t3/sim_offset2_step3.csv": "818b5a608e9a76a613c19761fad879241ddbae4313053b713f64f1931c9c61de",
-    "t3/sim_offset0_step3.json": "7e4de91d762d8a9a3a80a8d677c415c7d8c0899a35ef55080f3d3e4a3734016b",
+    "t3/sim_offset0_step3.json": "4d79fdbe63eda72ac282deecac9899a4fe2a5a389cc2f015fca3ec64ee7febbc",
     "t3/sim_offset0_step3.csv": "c731b1b01b4156fe814e006ea774417fbf67e3278a82402b1cb7815d93dfd827",
 }
 

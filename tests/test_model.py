@@ -20,9 +20,10 @@ from tricklefair import (
     solve_fixed_point,
 )
 from tricklefair.cli import bundled_random_topology
-from tricklefair.model import MAX_DEGREE, SolverConfig, degree_table, save_solution, update_map, yt_pmf
+from tricklefair.model import MAX_DEGREE, SolverConfig, _SweepPlan, degree_table, save_solution, update_map
 
 from oracles import gamma_exact, p_first, p_last_opportunity, subset_cdf_average
+from strategies import small_networks
 
 
 def quad_pmf(y, n):
@@ -57,43 +58,39 @@ def scalar_update_map(topology, k_assignment, p):
 
 
 @st.composite
-def small_networks(draw):
-    """An edge-list topology of 1..12 nodes, a per-node K in 1..6 and an iterate p."""
-    n = draw(st.integers(1, 12))
-    pairs = list(itertools.combinations(range(n), 2))
-    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
-    topo = Topology.from_edges(n, [e for e, kept in zip(pairs, keep) if kept])
-    ks = draw(st.lists(st.integers(1, 6), min_size=n, max_size=n))
-    p = draw(st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n))
-    return topo, KAssignment(tuple(ks), {"mode": "drawn"}), np.array(p)
+def small_networks_with_iterate(draw):
+    """A small_networks case plus an iterate p."""
+    topo, ka = draw(small_networks())
+    p = draw(st.lists(st.floats(0.0, 1.0), min_size=topo.n, max_size=topo.n))
+    return topo, ka, np.array(p)
 
 
 class TestYtPmf:
     def test_no_neighbors(self):
-        assert yt_pmf(0).tolist() == [1.0]
+        assert degree_table(0)[0].tolist() == [1.0]
 
     def test_one_neighbor_analytic(self):
         # 2 * integral_{1/2}^{1} (1-u) du = 1/4
-        assert yt_pmf(1).tolist() == [0.25, 0.75]
+        assert degree_table(1)[0].tolist() == [0.25, 0.75]
 
     def test_two_neighbors(self):
-        assert yt_pmf(2) == pytest.approx([1 / 12, 1 / 3, 7 / 12], abs=1e-15)
+        assert degree_table(2)[0] == pytest.approx([1 / 12, 1 / 3, 7 / 12], abs=1e-15)
 
     def test_matches_quadrature(self):
         for y in range(0, 21):
-            pmf = yt_pmf(y)
+            pmf = degree_table(y)[0]
             for n in range(y + 1):
                 assert pmf[n] == pytest.approx(quad_pmf(y, n), abs=1e-10)
 
     def test_sums_to_one_up_to_max_degree(self):
         for y in range(0, MAX_DEGREE + 1):
-            assert abs(yt_pmf(y).sum() - 1.0) <= 1e-12
+            assert abs(degree_table(y)[0].sum() - 1.0) <= 1e-12
 
     def test_degree_cap(self):
         with pytest.raises(ValueError, match=f"outside the supported range 0..{MAX_DEGREE}"):
-            yt_pmf(MAX_DEGREE + 1)
+            degree_table(MAX_DEGREE + 1)
         with pytest.raises(ValueError):
-            yt_pmf(-1)
+            degree_table(-1)
 
 
 class TestDegreeTable:
@@ -134,7 +131,7 @@ class TestPFirst:
 
     def test_matches_pmf_partial_sums(self):
         for y in (0, 1, 3, 8, 20):
-            pmf = yt_pmf(y)
+            pmf = degree_table(y)[0]
             for k in range(1, y + 1):
                 assert p_first(y, k) == pytest.approx(pmf[:k].sum(), abs=1e-13)
 
@@ -212,7 +209,7 @@ class TestPLastOpportunity:
     def test_k_equal_y_single_term(self):
         probs = [0.3, 0.6, 0.8]
         got = p_last_opportunity(3, 3, probs)
-        expected = yt_pmf(3)[3] * sum(gamma_exact(j, probs) for j in range(3))
+        expected = degree_table(3)[0][3] * sum(gamma_exact(j, probs) for j in range(3))
         assert got == pytest.approx(expected, abs=1e-13)
 
     def test_validation(self):
@@ -286,7 +283,7 @@ class TestUpdateMap:
         assert len(set(assign_k(udg, heuristic_policy(3, 0)).k)) > 1
 
     @settings(max_examples=50, deadline=None, derandomize=True, database=None)
-    @given(small_networks())
+    @given(small_networks_with_iterate())
     def test_random_networks_match_scalar_oracle(self, case):
         topo, ka, p = case
         out = update_map(topo, ka, p)
@@ -363,6 +360,25 @@ class TestSolveFixedPoint:
             assert np.all(sol.p_f == [p_first(grid.degree(i), 3) for i in range(grid.n)])
             assert sol.p_f + sol.p_lo == pytest.approx(scalar_update_map(grid, ka, sol.p_tx), abs=1e-13)
 
+    @pytest.mark.parametrize(
+        "topology, k",
+        [*(("grid", k) for k in range(1, 6)), *(("random49", k) for k in range(1, 4))],
+    )
+    def test_fixed_point_is_unique_across_initializations(self, grid, topology, k):
+        topo = grid if topology == "grid" else bundled_random_topology()
+        ka = assign_k(topo, fixed_policy(k))
+        expected = solve_fixed_point(topo, ka).p_tx
+        plan = _SweepPlan(topo, ka)
+        rng = np.random.default_rng(k)
+        for start in range(6):
+            p = rng.uniform(0.0, 1.0, topo.n)
+            for _ in range(5000):
+                f = update_map(topo, ka, p, plan=plan)
+                if np.max(np.abs(f - p)) < 1e-12:
+                    break
+                p = p + 0.5 * (f - p)
+            assert np.max(np.abs(p - expected)) <= 1e-9, f"start {start}"
+
     def test_degree_cap_raises(self):
         star = Topology.from_edges(MAX_DEGREE + 2, [(0, i) for i in range(1, MAX_DEGREE + 2)])
         with pytest.raises(ValueError, match=f"degree {MAX_DEGREE + 1} is outside the supported range"):
@@ -390,7 +406,3 @@ def test_solver_config_validation():
         SolverConfig(tolerance=0.0)
     with pytest.raises(ValueError):
         SolverConfig(max_iterations=0)
-    with pytest.raises(ValueError):
-        SolverConfig(damping=0.0)
-    with pytest.raises(ValueError):
-        SolverConfig(init=1.5)

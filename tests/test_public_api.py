@@ -1,3 +1,4 @@
+import argparse
 import os
 import subprocess
 import sys
@@ -6,6 +7,7 @@ from pathlib import Path
 import pytest
 
 import tricklefair
+from tricklefair.cli import build_parser
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -42,6 +44,40 @@ def test_public_api_is_locked():
     assert set(tricklefair.__all__) == PUBLIC_API
     for name in tricklefair.__all__:
         assert getattr(tricklefair, name) is not None, name
+
+
+POLICY_OPTIONS = {"--fixed-k", "--heuristic", "--step", "--offset"}
+
+# option strings of every (sub)command, -h/--help left out
+CLI_OPTIONS = {
+    "": {"--version"},
+    "gen": set(),
+    "gen grid": {"--rows", "--cols", "--spacing", "--range", "-o", "--output"},
+    "gen random": {"--n", "--side", "--range", "--seed", "-o", "--output"},
+    "solve": {"--topo", *POLICY_OPTIONS, "--tol", "--max-iter", "-o", "--output", "--csv"},
+    "simulate": {
+        "--topo", *POLICY_OPTIONS, "--intervals", "--runs", "--warmup", "--seed", "-o", "--output", "--csv"
+    },
+    "compare": {"--model", "--sim", "-o", "--output"},
+    "reproduce": {"--table", "--out", "--force", "--intervals", "--runs", "--seed"},
+}
+
+
+def _cli_options(parser, command=()):
+    found = {}
+    options = set()
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                found.update(_cli_options(sub, command + (name,)))
+        elif not isinstance(action, argparse._HelpAction):
+            options.update(action.option_strings)
+    found[" ".join(command)] = options
+    return found
+
+
+def test_cli_surface_is_locked():
+    assert _cli_options(build_parser()) == CLI_OPTIONS
 
 
 @pytest.mark.parametrize(

@@ -25,7 +25,7 @@ def test_grid_single_node():
     t = generate_grid(1, 1, 1.0, 1.0)
     assert t.n == 1
     assert t.num_edges == 0
-    assert t.neighbors(0) == ()
+    assert t.neighbor_lists[0] == ()
 
 
 def test_grid_2x2_without_diagonals():
@@ -77,9 +77,9 @@ def test_adjacency_symmetric_and_irreflexive():
         edges = [(i, j) for i, j in edges if i != j]
         t = Topology.from_edges(n, edges)
         for i in range(n):
-            assert i not in t.neighbors(i)
-            for j in t.neighbors(i):
-                assert i in t.neighbors(j)
+            assert i not in t.neighbor_lists[i]
+            for j in t.neighbor_lists[i]:
+                assert i in t.neighbor_lists[j]
 
 
 def test_from_edges_rejects_bad_input():
@@ -118,8 +118,8 @@ def test_load_normalizes_one_sided_edges(tmp_path):
     path = tmp_path / "t.json"
     path.write_text(json.dumps(doc))
     t = load_topology(path)
-    assert t.neighbors(0) == (1,)
-    assert t.neighbors(1) == (0,)
+    assert t.neighbor_lists[0] == (1,)
+    assert t.neighbor_lists[1] == (0,)
 
 
 def test_load_rejects_duplicate_id(tmp_path):
