@@ -14,7 +14,6 @@ import math
 from tricklefair import (
     assign_k,
     class_means,
-    expected_message_count,
     fairness,
     fixed_policy,
     generate_grid,
@@ -31,7 +30,7 @@ def row(label, grid, policy):
     spread = max(cm.values()) - min(cm.values())
     kset = ",".join(str(k) for k in sorted(set(ka.k)))
     print(
-        f"{label:<22} {kset:>7} {expected_message_count(sol):>9.3f} "
+        f"{label:<22} {kset:>7} {rep.message_count:>9.3f} "
         f"{rep.variance:>9.5f} {cm[3]:>8.3f} {cm[5]:>8.3f} {cm[8]:>9.3f} {spread:>8.3f}"
     )
     return spread

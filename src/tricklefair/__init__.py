@@ -20,7 +20,6 @@ from .metrics import (
 from .model import (
     ModelSolution,
     SolverConfig,
-    expected_message_count,
     solve_fixed_point,
 )
 from .redundancy import (
@@ -58,7 +57,6 @@ __all__ = [
     "calculate_k",
     "class_means",
     "compare",
-    "expected_message_count",
     "export_surface",
     "fairness",
     "fixed_policy",

@@ -17,14 +17,12 @@ A node with y neighbors and redundancy constant K transmits when it draws one
 of the first K instants, or a later instant while fewer than K of the
 earlier-slotted neighbors actually transmitted. Expressing that probability
 through the neighbors' own transmission probabilities couples the network
-into N equations in N unknowns, which are solved here by damped fixed-point
-iteration. Each sweep evaluates the nodes in groups of equal degree and K, one
-array per group. The iteration starts undamped and drops to damping 0.5 once
-ten iterations in a row fail to shrink the defect max|F(p) - p| by at least
-0.1%; a relative test, because an undamped period-2 oscillation keeps a
-defect that shrinks only in the last digits. Neighbor transmissions are
-treated as independent events; the discrete-event simulator quantifies the
-error this approximation introduces.
+into N equations p = F(p) in N unknowns, which are solved here by damped
+fixed-point iteration. Each sweep evaluates the nodes in groups of equal
+degree and K, one array per group. F falls as any neighbor's p rises, so plain
+iteration oscillates; every sweep therefore moves p halfway to F(p).
+Neighbor transmissions are treated as independent events; the discrete-event
+simulator quantifies the error this approximation introduces.
 """
 from __future__ import annotations
 
@@ -44,20 +42,12 @@ from .io import write_csv, write_json
 MAX_DEGREE = 512
 
 _INITIAL_P = 0.5  # starting probability of every node not forced to 1
-_STALL_LIMIT = 10  # stalled iterations in a row before damping drops
-# An iteration stalls unless it shrinks the defect by at least this fraction.
-_STALL_PROGRESS = 1e-3
-_FALLBACK_DAMPING = 0.5
+_DAMPING = 0.5  # weight of F(p) against p in every sweep
 
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Fixed-point iteration controls.
-
-    The iteration starts undamped from p = 0.5 and falls back to damping 0.5
-    automatically after 10 iterations in a row that each shrink the defect
-    by less than 0.1% (see _STALL_LIMIT and _STALL_PROGRESS).
-    """
+    """Fixed-point iteration controls: stop below tolerance or after max_iterations sweeps."""
 
     tolerance: float = 1e-10
     max_iterations: int = 10000
@@ -192,9 +182,6 @@ def solve_fixed_point(topology, k_assignment, config: SolverConfig | None = None
     ks = np.array(k_assignment.k, dtype=int)
     p = np.where(degrees < ks, 1.0, _INITIAL_P)
 
-    alpha = 1.0  # undamped until the stall test drops it to _FALLBACK_DAMPING
-    stall = 0
-    prev_defect = math.inf
     defect = math.inf
     converged = False
     iterations = 0
@@ -208,15 +195,7 @@ def solve_fixed_point(topology, k_assignment, config: SolverConfig | None = None
         if defect < cfg.tolerance:
             converged = True
             break
-        if defect >= prev_defect * (1.0 - _STALL_PROGRESS):
-            stall += 1
-            if stall >= _STALL_LIMIT and alpha > _FALLBACK_DAMPING:
-                alpha = _FALLBACK_DAMPING
-                stall = 0
-        else:
-            stall = 0
-        prev_defect = defect
-        p = p + alpha * (f - p)
+        p = p + _DAMPING * (f - p)
 
     if not converged:
         f = update_map(topology, k_assignment, p, plan=plan)
@@ -229,13 +208,6 @@ def solve_fixed_point(topology, k_assignment, config: SolverConfig | None = None
         residual=defect,
         converged=converged,
     )
-
-
-def expected_message_count(solution: ModelSolution) -> float:
-    """Expected network-wide message count per interval: sum of the p_tx."""
-    if not solution.converged:
-        raise ValueError("expected_message_count needs a converged solution")
-    return float(solution.p_tx.sum())
 
 
 def save_solution(path, topology, k_assignment, solution: ModelSolution, extra: dict | None = None) -> None:

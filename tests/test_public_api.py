@@ -25,7 +25,6 @@ PUBLIC_API = {
     "calculate_k",
     "class_means",
     "compare",
-    "expected_message_count",
     "export_surface",
     "fairness",
     "fixed_policy",
