@@ -177,6 +177,7 @@ def cmd_reproduce(args) -> int:
     if out.exists() and any(out.iterdir()) and not args.force:
         print(f"error: output directory {out} exists and is not empty (use --force)", file=sys.stderr)
         return EXIT_USAGE
+    params = simulator.TrickleParams(measured_intervals=args.intervals, runs=args.runs, base_seed=args.seed)
     out.mkdir(parents=True, exist_ok=True)
 
     if args.table in (1, 3):
@@ -187,7 +188,6 @@ def cmd_reproduce(args) -> int:
         topo_path = out / "random49.json"
     save_topology(topo, topo_path)
 
-    params = simulator.TrickleParams(measured_intervals=args.intervals, runs=args.runs, base_seed=args.seed)
     configs = _table_configs(args.table)
     rollup_path = out / f"table{args.table}.csv"
     manifest_path = out / "manifest.json"

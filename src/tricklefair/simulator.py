@@ -9,7 +9,10 @@ instantaneous and lossless to every radio neighbor; there is no radio or MAC
 modeling. Time is measured in intervals: phases, instants and suppression
 depend only on positions within an interval, so results do not depend on
 the interval length. Results are deterministic for a fixed base seed: run r,
-node i draws from an independent substream seeded with (base_seed, r, i).
+node i draws from an independent substream, the doubles of
+``numpy.random.default_rng((base_seed, r, i))``. They are generated for all
+nodes of a run at once by a numpy kernel that repeats numpy's seeding and
+PCG64 steps (``_rng.py``), so no per-node generator is built.
 """
 from __future__ import annotations
 
@@ -18,9 +21,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._rng import substreams
 from .io import write_csv, write_json
 
 CI95_Z = 1.96  # normal approximation quantile for two-sided 95%
+_EVENT_BLOCK = 1 << 12
 
 
 @dataclass(frozen=True)
@@ -33,12 +38,11 @@ class TrickleParams:
     base_seed: int = 1
 
     def __post_init__(self) -> None:
-        if self.measured_intervals < 1:
-            raise ValueError("measured_intervals must be >= 1")
-        if self.warmup_intervals < 0:
-            raise ValueError("warmup_intervals must be >= 0")
-        if self.runs < 1:
-            raise ValueError("runs must be >= 1")
+        # bool is an int subclass; floats would fail deep inside a run
+        for name, low in (("measured_intervals", 1), ("warmup_intervals", 0), ("runs", 1), ("base_seed", 0)):
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool) or value < low:
+                raise ValueError(f"{name} must be an integer >= {low}")
 
 
 @dataclass(frozen=True)
@@ -51,7 +55,49 @@ class SimulationResult:
     params: TrickleParams
 
 
-def _single_run(topology, ks, params: TrickleParams, run_idx: int) -> np.ndarray:
+def _single_run(neighbor_lists, ks, params: TrickleParams, draws: np.ndarray) -> list[int]:
+    """Transmission counts of one run; ``draws`` row i is node i's substream."""
+    n, total = draws.shape[0], draws.shape[1] - 1
+    phases = draws[:, 0]
+    # The same float operations as phases[i] + m + offsets[m] one event at a
+    # time; a stable sort of the row-major (node, m) order breaks ties (measure
+    # zero) by ascending node id, then interval.
+    times = (phases[:, None] + np.arange(total)) + (0.5 + 0.5 * draws[:, 1:])
+    order = np.argsort(times, axis=None, kind="stable")
+    times = times.ravel()
+    phases = phases.tolist()
+
+    counter = [0] * n
+    current = [-(1 << 60)] * n  # interval index the counter belongs to
+    counts = [0] * n
+    first = params.warmup_intervals
+    last = params.warmup_intervals + params.measured_intervals
+    # Events are unpacked into Python lists one block at a time, which keeps
+    # the per-event objects of a large network from being alive all at once.
+    for lo in range(0, order.size, _EVENT_BLOCK):
+        block = order[lo : lo + _EVENT_BLOCK]
+        nodes, intervals = np.divmod(block, total)
+        for t, i, m in zip(times[block].tolist(), nodes.tolist(), intervals.tolist()):
+            if current[i] != m:
+                current[i] = m
+                counter[i] = 0
+            if counter[i] >= ks[i]:
+                continue
+            if first <= m < last:
+                counts[i] += 1
+            for j in neighbor_lists[i]:
+                mj = math.floor(t - phases[j])
+                if current[j] != mj:
+                    current[j] = mj
+                    counter[j] = 0
+                counter[j] += 1
+    return counts
+
+
+def run_steady_state(topology, k_assignment, params: TrickleParams) -> SimulationResult:
+    """Simulate `runs` independent repetitions and estimate per-node probabilities."""
+    if len(k_assignment.k) != topology.n:
+        raise ValueError("k_assignment length does not match topology")
     n = topology.n
     # One trailing interval beyond the measured window keeps late-phase
     # neighbors firing while early-phase nodes finish their last measured
@@ -60,47 +106,10 @@ def _single_run(topology, ks, params: TrickleParams, run_idx: int) -> np.ndarray
     # rate climbs from 0.47 (interval 0) to 0.53 (interval 2) and settles
     # near 0.57 only from interval 6, so short windows read low.
     total = params.warmup_intervals + params.measured_intervals + 1
-
-    phases = np.empty(n)
-    events = []
-    for i in range(n):
-        rng = np.random.default_rng((params.base_seed, run_idx, i))
-        phases[i] = rng.uniform(0.0, 1.0)
-        offsets = rng.uniform(0.5, 1.0, size=total)
-        for m in range(total):
-            events.append((phases[i] + m + offsets[m], i, m))
-    events.sort()  # ties (measure zero) break by ascending node id
-
-    counter = [0] * n
-    current = [-(1 << 60)] * n  # interval index the counter belongs to
-    counts = np.zeros(n, dtype=np.int64)
-    first = params.warmup_intervals
-    last = params.warmup_intervals + params.measured_intervals
-    neighbor_lists = topology.neighbor_lists
-    for t, i, m in events:
-        if current[i] != m:
-            current[i] = m
-            counter[i] = 0
-        if counter[i] >= ks[i]:
-            continue
-        if first <= m < last:
-            counts[i] += 1
-        for j in neighbor_lists[i]:
-            mj = math.floor(t - phases[j])
-            if current[j] != mj:
-                current[j] = mj
-                counter[j] = 0
-            counter[j] += 1
-    return counts
-
-
-def run_steady_state(topology, k_assignment, params: TrickleParams) -> SimulationResult:
-    """Simulate `runs` independent repetitions and estimate per-node probabilities."""
-    if len(k_assignment.k) != topology.n:
-        raise ValueError("k_assignment length does not match topology")
-    counts = np.empty((params.runs, topology.n), dtype=np.int64)
-    for r in range(params.runs):
-        counts[r] = _single_run(topology, k_assignment.k, params, r)
+    counts = np.empty((params.runs, n), dtype=np.int64)
+    draws = substreams(params.base_seed, params.runs, n, total + 1)
+    for r, run_draws in enumerate(draws):
+        counts[r] = _single_run(topology.neighbor_lists, k_assignment.k, params, run_draws)
     mean_p, ci95 = _estimate(counts, params)
     return SimulationResult(counts=counts, mean_p=mean_p, ci95=ci95, params=params)
 

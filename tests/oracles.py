@@ -122,3 +122,45 @@ def estimate_probabilities(result):
     if runs < 2:
         return freqs.mean(axis=0), None
     return freqs.mean(axis=0), CI95_Z * freqs.std(axis=0, ddof=1) / math.sqrt(runs)
+
+
+def single_run(topology, ks, params, run_idx: int) -> np.ndarray:
+    """Transmission counts of one simulator run, one generator and one event tuple at a time.
+
+    Node i of run r draws from its own ``default_rng((base_seed, r, i))``:
+    the phase first, then one firing offset per interval.
+    """
+    n = topology.n
+    total = params.warmup_intervals + params.measured_intervals + 1
+
+    phases = np.empty(n)
+    events = []
+    for i in range(n):
+        rng = np.random.default_rng((params.base_seed, run_idx, i))
+        phases[i] = rng.uniform(0.0, 1.0)
+        offsets = rng.uniform(0.5, 1.0, size=total)
+        for m in range(total):
+            events.append((phases[i] + m + offsets[m], i, m))
+    events.sort()  # ties (measure zero) break by ascending node id
+
+    counter = [0] * n
+    current = [-(1 << 60)] * n  # interval index the counter belongs to
+    counts = np.zeros(n, dtype=np.int64)
+    first = params.warmup_intervals
+    last = params.warmup_intervals + params.measured_intervals
+    neighbor_lists = topology.neighbor_lists
+    for t, i, m in events:
+        if current[i] != m:
+            current[i] = m
+            counter[i] = 0
+        if counter[i] >= ks[i]:
+            continue
+        if first <= m < last:
+            counts[i] += 1
+        for j in neighbor_lists[i]:
+            mj = math.floor(t - phases[j])
+            if current[j] != mj:
+                current[j] = mj
+                counter[j] = 0
+            counter[j] += 1
+    return counts

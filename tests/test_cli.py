@@ -268,3 +268,13 @@ def test_reproduce_refuses_nonempty_dir(tmp_path):
     (out / "keep.txt").write_text("data")
     assert run_cli("reproduce", "--table", 3, "--out", out, "--runs", 2, "--intervals", 2) == 2
     assert run_cli("reproduce", "--table", 3, "--out", out, "--runs", 2, "--intervals", 2, "--force") == 0
+
+
+def test_negative_seed_is_usage_error_and_writes_nothing(tmp_path, grid_file, capsys):
+    sim = tmp_path / "sim.json"
+    assert run_cli("simulate", "--topo", grid_file, "--fixed-k", 1, "--seed", -3, "-o", sim) == 2
+    assert not sim.exists()
+    out = tmp_path / "t1"
+    assert run_cli("reproduce", "--table", 1, "--out", out, "--seed", -3) == 2
+    assert not out.exists()
+    assert "base_seed must be an integer >= 0" in capsys.readouterr().err

@@ -9,11 +9,13 @@ from tricklefair import (
     TrickleParams,
     assign_k,
     fixed_policy,
+    generate_random_udg,
     run_steady_state,
 )
+from tricklefair._rng import substreams
 from tricklefair.simulator import save_result, save_result_csv
 
-from oracles import estimate_probabilities
+from oracles import estimate_probabilities, single_run
 from strategies import small_networks
 
 
@@ -86,6 +88,43 @@ def test_random_networks_count_bounds(case, runs, intervals, warmup, seed):
     assert np.all(res.counts[:, forced] == intervals)
 
 
+def test_substreams_match_default_rng():
+    n, count = 300, 14
+    # zero words, one full word, word boundaries and multi-word seeds
+    for seed in (0, 1, 7, 2**32 - 1, 2**32, 2**40 + 5, 2**70 + 3):
+        got = list(substreams(seed, 30, n, count))
+        assert len(got) == 30
+        for run in (0, 1, 29):
+            want = [np.random.default_rng((seed, run, i)).random(count) for i in range(n)]
+            assert np.array_equal(got[run], want), f"base_seed {seed}, run {run}"
+
+
+@settings(max_examples=50, deadline=None, derandomize=True, database=None)
+@given(
+    small_networks(),
+    st.integers(1, 3),
+    st.integers(1, 5),
+    st.integers(0, 3),
+    st.sampled_from([0, 2**32, 2**64 + 1]) | st.integers(0, 2**70),
+)
+def test_random_networks_match_reference_simulator(case, runs, intervals, warmup, seed):
+    topo, ka = case
+    params = TrickleParams(measured_intervals=intervals, warmup_intervals=warmup, runs=runs, base_seed=seed)
+    res = run_steady_state(topo, ka, params)
+    want = [single_run(topo, ka.k, params, r) for r in range(runs)]
+    assert np.array_equal(res.counts, want)
+
+
+def test_large_network_matches_reference_simulator():
+    # big enough that draws, kernel passes and event unpacking all split
+    # into several blocks
+    topo = generate_random_udg(700, 26.5, 1.6, 3)
+    ka = assign_k(topo, fixed_policy(2))
+    params = TrickleParams(runs=2, base_seed=11)
+    res = run_steady_state(topo, ka, params)
+    assert np.array_equal(res.counts, [single_run(topo, ka.k, params, r) for r in range(2)])
+
+
 def test_two_node_pair_mean_near_model_value(two_node):
     # The analytic fixed point is 4/7; the event process polarizes the pair
     # (one node locks into suppressing the other for a whole run), which the
@@ -139,6 +178,13 @@ def test_params_validation():
         TrickleParams(runs=0)
     with pytest.raises(ValueError):
         TrickleParams(warmup_intervals=-1)
+    for seed in (-1, True, 1.5):
+        with pytest.raises(ValueError, match="base_seed"):
+            TrickleParams(base_seed=seed)
+    for name in ("measured_intervals", "warmup_intervals", "runs"):
+        for value in (True, 2.5):
+            with pytest.raises(ValueError, match=name):
+                TrickleParams(**{name: value})
 
 
 def test_result_round_trip(tmp_path, two_node):
