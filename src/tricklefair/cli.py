@@ -255,6 +255,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Transmission-load fairness of steady-state Trickle: model, simulator, metrics.",
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
+    params, solver = simulator.TrickleParams(), model.SolverConfig()
     sub = parser.add_subparsers(dest="command", required=True)
 
     gen = sub.add_parser("gen", help="generate a topology file")
@@ -277,8 +278,8 @@ def build_parser() -> argparse.ArgumentParser:
     solve = sub.add_parser("solve", help="solve the per-node probability model")
     solve.add_argument("--topo", required=True)
     _add_policy_args(solve)
-    solve.add_argument("--tol", type=float, default=1e-10)
-    solve.add_argument("--max-iter", type=int, default=10000)
+    solve.add_argument("--tol", type=float, default=solver.tolerance)
+    solve.add_argument("--max-iter", type=int, default=solver.max_iterations)
     solve.add_argument("-o", "--output", required=True)
     solve.add_argument("--csv", help="also write per-node CSV")
     solve.set_defaults(func=cmd_solve)
@@ -286,10 +287,10 @@ def build_parser() -> argparse.ArgumentParser:
     sim = sub.add_parser("simulate", help="run the discrete-event simulation")
     sim.add_argument("--topo", required=True)
     _add_policy_args(sim)
-    sim.add_argument("--intervals", type=int, default=10, help="measured intervals per run")
-    sim.add_argument("--runs", type=int, default=30)
-    sim.add_argument("--warmup", type=int, default=2)
-    sim.add_argument("--seed", type=int, default=1)
+    sim.add_argument("--intervals", type=int, default=params.measured_intervals, help="measured intervals per run")
+    sim.add_argument("--runs", type=int, default=params.runs)
+    sim.add_argument("--warmup", type=int, default=params.warmup_intervals)
+    sim.add_argument("--seed", type=int, default=params.base_seed)
     sim.add_argument("-o", "--output", required=True)
     sim.add_argument("--csv", help="also write per-node CSV")
     sim.set_defaults(func=cmd_simulate)
@@ -304,9 +305,9 @@ def build_parser() -> argparse.ArgumentParser:
     rep.add_argument("--table", type=int, choices=(1, 2, 3), required=True)
     rep.add_argument("--out", required=True, help="output directory")
     rep.add_argument("--force", action="store_true", help="write into a non-empty directory")
-    rep.add_argument("--intervals", type=int, default=10)
-    rep.add_argument("--runs", type=int, default=30)
-    rep.add_argument("--seed", type=int, default=1)
+    rep.add_argument("--intervals", type=int, default=params.measured_intervals)
+    rep.add_argument("--runs", type=int, default=params.runs)
+    rep.add_argument("--seed", type=int, default=params.base_seed)
     rep.set_defaults(func=cmd_reproduce)
 
     return parser

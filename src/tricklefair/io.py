@@ -27,8 +27,12 @@ def write_csv(path, header, rows) -> None:
         writer.writerows(rows)
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)  # JSON true is an int to Python
+
+
 def _is_finite_number(value) -> bool:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
+    if not (_is_int(value) or isinstance(value, float)):
         return False
     try:
         return math.isfinite(value)
@@ -56,7 +60,7 @@ def read_records(path, required, fields) -> list[dict]:
         raise ValueError(f"{path}: field 'per_node' must be a list of objects")
     for rec in records:
         i = rec.get("id")
-        if isinstance(i, bool) or not isinstance(i, int):
+        if not _is_int(i):
             raise ValueError(f"{path}: per-node id {i!r} is not an integer")
         for field in fields:
             if not _is_finite_number(rec.get(field)):

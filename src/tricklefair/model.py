@@ -33,7 +33,7 @@ from itertools import accumulate
 
 import numpy as np
 
-from .io import write_csv, write_json
+from .io import _is_int, write_csv, write_json
 
 # The largest neighbor count the model evaluates. Up to it every weight
 # pmf[n] / C(y, n) is a normal float and every subset-DP entry, at most
@@ -53,10 +53,12 @@ class SolverConfig:
     max_iterations: int = 10000
 
     def __post_init__(self) -> None:
-        if self.tolerance <= 0:
-            raise ValueError("tolerance must be positive")
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be >= 1")
+        # The defect max|F(p) - p| never exceeds 1, so a tolerance of 1 or more
+        # accepts any start; written so that NaN fails it too.
+        if not 0 < self.tolerance < 1:
+            raise ValueError("tolerance must lie in (0, 1)")
+        if not _is_int(self.max_iterations) or self.max_iterations < 1:
+            raise ValueError("max_iterations must be an integer >= 1")
 
 
 @dataclass(frozen=True)
@@ -108,8 +110,6 @@ class _SweepPlan:
     def __init__(self, topology, k_assignment) -> None:
         if len(k_assignment.k) != topology.n:
             raise ValueError("k_assignment length does not match topology")
-        if min(k_assignment.k) < 1:
-            raise ValueError("redundancy constant must be >= 1")
         members: dict[tuple[int, int], list[int]] = {}
         p_f = []
         for i, (neigh, k) in enumerate(zip(topology.neighbor_lists, k_assignment.k)):

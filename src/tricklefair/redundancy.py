@@ -9,55 +9,58 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .io import _is_int
+
 DEFAULT_STEP = 3
 DEFAULT_OFFSET = 0
 
 
 @dataclass(frozen=True)
 class KAssignment:
-    """Redundancy constant per node id plus the policy that produced it."""
+    """Redundancy constant per node id, each an integer >= 1, plus the policy that produced it."""
 
     k: tuple[int, ...]
     policy: dict
 
+    def __post_init__(self) -> None:
+        for i, k in enumerate(self.k):
+            if not _is_int(k) or k < 1:
+                raise ValueError(f"node {i}: redundancy constant {k!r} must be an integer >= 1")
+
 
 def fixed_policy(k: int) -> dict:
-    return {"mode": "fixed", "k": int(k)}
+    return {"mode": "fixed", "k": k}
 
 
 def heuristic_policy(step: int = DEFAULT_STEP, offset: int = DEFAULT_OFFSET) -> dict:
-    return {"mode": "heuristic", "step": int(step), "offset": int(offset)}
+    return {"mode": "heuristic", "step": step, "offset": offset}
 
 
 def calculate_k(num_neighbors: int, step: int, offset: int = 0) -> int:
     """Local redundancy constant from the neighbor count.
 
     Returns 1 when num_neighbors <= offset, otherwise
-    ceil((num_neighbors - offset) / step). The result is clamped to >= 1:
-    K = 0 would suppress every transmission.
+    ceil((num_neighbors - offset) / step), which is >= 1 there.
     """
-    if step < 1:
-        raise ValueError("step must be >= 1")
-    if offset < 0:
-        raise ValueError("offset must be >= 0")
-    if num_neighbors < 0:
-        raise ValueError("num_neighbors must be >= 0")
+    if not _is_int(step) or step < 1:
+        raise ValueError("step must be an integer >= 1")
+    if not _is_int(offset) or offset < 0:
+        raise ValueError("offset must be an integer >= 0")
+    if not _is_int(num_neighbors) or num_neighbors < 0:
+        raise ValueError("num_neighbors must be an integer >= 0")
     if num_neighbors <= offset:
         return 1
-    return max(1, -(-(num_neighbors - offset) // step))
+    return -(-(num_neighbors - offset) // step)
 
 
 def assign_k(topology, policy: dict) -> KAssignment:
     """Evaluate a policy descriptor on every node of a topology."""
     mode = policy.get("mode")
     if mode == "fixed":
-        k = int(policy["k"])
-        if k < 1:
-            raise ValueError("fixed K must be >= 1")
-        ks = (k,) * topology.n
+        ks = (policy["k"],) * topology.n
     elif mode == "heuristic":
-        step = int(policy.get("step", DEFAULT_STEP))
-        offset = int(policy.get("offset", DEFAULT_OFFSET))
+        step = policy.get("step", DEFAULT_STEP)
+        offset = policy.get("offset", DEFAULT_OFFSET)
         ks = tuple(calculate_k(topology.degree(i), step, offset) for i in range(topology.n))
     else:
         raise ValueError(f"unknown policy mode {mode!r}")

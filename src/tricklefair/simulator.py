@@ -17,12 +17,12 @@ PCG64 steps (``_rng.py``), so no per-node generator is built.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from ._rng import substreams
-from .io import write_csv, write_json
+from .io import _is_int, write_csv, write_json
 
 CI95_Z = 1.96  # normal approximation quantile for two-sided 95%
 _EVENT_BLOCK = 1 << 12
@@ -38,10 +38,10 @@ class TrickleParams:
     base_seed: int = 1
 
     def __post_init__(self) -> None:
-        # bool is an int subclass; floats would fail deep inside a run
+        # floats would fail deep inside a run
         for name, low in (("measured_intervals", 1), ("warmup_intervals", 0), ("runs", 1), ("base_seed", 0)):
             value = getattr(self, name)
-            if not isinstance(value, int) or isinstance(value, bool) or value < low:
+            if not _is_int(value) or value < low:
                 raise ValueError(f"{name} must be an integer >= {low}")
 
 
@@ -125,14 +125,8 @@ def _estimate(counts: np.ndarray, params: TrickleParams):
 
 def save_result(path, result: SimulationResult, extra: dict | None = None) -> None:
     """Write a simulation result as JSON: echoed parameters plus per-node records."""
-    params = result.params
     doc = {
-        "params": {
-            "measured_intervals": params.measured_intervals,
-            "warmup_intervals": params.warmup_intervals,
-            "runs": params.runs,
-            "base_seed": params.base_seed,
-        },
+        "params": asdict(result.params),
         "per_node": [
             {
                 "id": i,

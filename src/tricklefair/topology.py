@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .io import _is_finite_number, write_json
+from .io import _is_finite_number, _is_int, write_json
 
 # The unit-disk test is inclusive with a tiny relative slack so that exact
 # radii such as sqrt(2) on an integer grid keep their boundary pairs despite
@@ -140,10 +140,6 @@ def _check_positions(positions, n: int | None) -> np.ndarray:
     if not np.all(np.isfinite(pos)):
         raise TopologyError("positions must be finite")
     return pos
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)  # JSON true is an int to Python
 
 
 def generate_grid(rows: int, cols: int, spacing: float = 1.0, radio_range: float = 1.0) -> Topology:

@@ -50,7 +50,7 @@ def test_solve_writes_solution_and_report(tmp_path, grid_file, capsys):
     rep_max = max(rec["p_tx"] for rec in doc["per_node"])
     assert f"max {rep_max:.3f}" in stdout
     assert "variance" in stdout
-    rows = list(csv.reader(out_csv.open()))
+    rows = list(csv.reader(out_csv.read_text().splitlines()))
     assert rows[0] == ["id", "degree", "k", "p_tx", "p_f", "p_lo"]
     assert len(rows) == 50
     assert doc["manifest"]["topology"]["sha256"]
@@ -61,6 +61,14 @@ def test_solve_nonconvergence_exit_code(tmp_path, grid_file):
     code = run_cli("solve", "--topo", grid_file, "--fixed-k", 1, "--max-iter", 2, "-o", out)
     assert code == 3
     assert json.loads(out.read_text())["converged"] is False
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "1", "0"])
+def test_solve_tolerance_outside_unit_interval_is_usage_error(tmp_path, grid_file, capsys, tol):
+    out = tmp_path / "sol.json"
+    assert run_cli("solve", "--topo", grid_file, "--fixed-k", 1, "--tol", tol, "-o", out) == 2
+    assert not out.exists()
+    assert "tolerance must lie in (0, 1)" in capsys.readouterr().err
 
 
 def test_solve_isolated_node_probability_one(tmp_path, capsys):
@@ -137,7 +145,7 @@ def test_compare_pipeline(tmp_path, grid_file, capsys):
     assert run_cli("compare", "--model", sol, "--sim", sim, "-o", cmp_csv) == 0
     stdout = capsys.readouterr().out
     assert stdout.count("variance") == 2  # one fairness line per source
-    rows = list(csv.reader(cmp_csv.open()))
+    rows = list(csv.reader(cmp_csv.read_text().splitlines()))
     assert len(rows) == 50
     assert rows[0] == ["id", "degree", "k", "p_model", "p_sim", "abs_diff"]
 
@@ -213,7 +221,7 @@ def test_reproduce_heuristic_table(tmp_path, capsys):
     rep = manifest["fairness"]["offset2_step3"]
     assert set(rep) == {"model", "sim"}
     assert 0.0 <= rep["model"]["variance"] <= 1.0
-    rows = list(csv.reader((out / "table3.csv").open()))
+    rows = list(csv.reader((out / "table3.csv").read_text().splitlines()))
     assert [r[0] for r in rows] == [
         "statistic",
         "average_message_count",
@@ -250,7 +258,7 @@ def test_reproduce_fixed_k_table_light(tmp_path):
     for k in range(1, 7):
         assert (out / f"model_k{k}.json").exists()
         assert (out / f"sim_k{k}.json").exists()
-    rows = list(csv.reader((out / "table1.csv").open()))
+    rows = list(csv.reader((out / "table1.csv").read_text().splitlines()))
     assert len(rows[0]) == 1 + 12  # statistic + model/sim per K
     assert [r[0] for r in rows][1:] == ["max_probability", "min_probability", "variance"]
 

@@ -82,7 +82,7 @@ def test_export_surface_single_node(tmp_path):
     t = generate_grid(1, 1, 1.0, 1.0)
     path = tmp_path / "s.csv"
     export_surface(t, [0.42], path)
-    rows = list(csv.reader(path.open()))
+    rows = list(csv.reader(path.read_text().splitlines()))
     assert rows[0] == ["x", "y", "p"]
     assert len(rows) == 2
     assert float(rows[1][2]) == 0.42
@@ -93,7 +93,7 @@ def test_export_surface_grid_round_trip(tmp_path, grid):
     p = rng.uniform(0, 1, grid.n)
     path = tmp_path / "grid.csv"
     export_surface(grid, p, path)
-    rows = list(csv.reader(path.open()))[1:]
+    rows = list(csv.reader(path.read_text().splitlines()))[1:]
     assert len(rows) == 49
     parsed = np.array([[float(v) for v in row] for row in rows])
     assert np.array_equal(parsed[:, 2], p)
@@ -110,7 +110,7 @@ def test_comparison_csv(tmp_path):
     cmp_ = compare([0.1, 0.9], [0.2, 0.8])
     path = tmp_path / "cmp.csv"
     save_comparison_csv(path, [3, 5], [1, 1], cmp_)
-    rows = list(csv.reader(path.open()))
+    rows = list(csv.reader(path.read_text().splitlines()))
     assert rows[0] == ["id", "degree", "k", "p_model", "p_sim", "abs_diff"]
     assert len(rows) == 3
     assert rows[1][:3] == ["0", "3", "1"]

@@ -435,7 +435,9 @@ def test_solution_round_trip(tmp_path, grid):
 
 
 def test_solver_config_validation():
-    with pytest.raises(ValueError):
-        SolverConfig(tolerance=0.0)
-    with pytest.raises(ValueError):
-        SolverConfig(max_iterations=0)
+    for tolerance in (0.0, -1e-3, 1.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="tolerance"):
+            SolverConfig(tolerance=tolerance)
+    for max_iterations in (0, True, 2.5):
+        with pytest.raises(ValueError, match="max_iterations"):
+            SolverConfig(max_iterations=max_iterations)

@@ -79,6 +79,19 @@ def test_cli_surface_is_locked():
     assert _cli_options(build_parser()) == CLI_OPTIONS
 
 
+def test_cli_defaults_are_the_library_defaults():
+    params, solver = tricklefair.TrickleParams(), tricklefair.SolverConfig()
+    parser = build_parser()
+    policy = ["--topo", "t.json", "--fixed-k", "1", "-o", "o.json"]
+    sim = parser.parse_args(["simulate", *policy])
+    rep = parser.parse_args(["reproduce", "--table", "1", "--out", "out"])
+    solve = parser.parse_args(["solve", *policy])
+    for args in (sim, rep):
+        assert (args.intervals, args.runs, args.seed) == (params.measured_intervals, params.runs, params.base_seed)
+    assert sim.warmup == params.warmup_intervals
+    assert (solve.tol, solve.max_iter) == (solver.tolerance, solver.max_iterations)
+
+
 @pytest.mark.parametrize(
     "script, args",
     [

@@ -48,6 +48,17 @@ def test_parameter_validation():
         calculate_k(5, 1, -1)
     with pytest.raises(ValueError):
         calculate_k(-1, 1)
+    for step in (2.5, True):
+        with pytest.raises(ValueError, match="step"):
+            calculate_k(5, step)
+    with pytest.raises(ValueError, match="offset"):
+        calculate_k(5, 1, 0.5)
+    with pytest.raises(ValueError, match="num_neighbors"):
+        calculate_k(2.5, 1)
+    # a K that is not an integer >= 1 is rejected before any solver or simulator sees it
+    for k in (0, 1.5, True):
+        with pytest.raises(ValueError, match="redundancy constant"):
+            KAssignment((1, k), {"mode": "drawn"})
 
 
 def test_assign_fixed(grid):
@@ -69,5 +80,6 @@ def test_assign_heuristic_on_grid(grid):
 def test_assign_rejects_bad_policy(grid):
     with pytest.raises(ValueError, match="unknown policy mode"):
         assign_k(grid, {"mode": "adaptive"})
-    with pytest.raises(ValueError):
-        assign_k(grid, fixed_policy(0))
+    for policy in (fixed_policy(0), fixed_policy(2.7), fixed_policy(True), heuristic_policy(step=2.5)):
+        with pytest.raises(ValueError):
+            assign_k(grid, policy)

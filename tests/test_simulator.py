@@ -171,7 +171,7 @@ def test_identical_runs_give_zero_ci():
     assert res.ci95.tolist() == [0.0]
 
 
-def test_params_validation():
+def test_params_validation(two_node):
     with pytest.raises(ValueError):
         TrickleParams(measured_intervals=0)
     with pytest.raises(ValueError):
@@ -185,6 +185,10 @@ def test_params_validation():
         for value in (True, 2.5):
             with pytest.raises(ValueError, match=name):
                 TrickleParams(**{name: value})
+    # the simulator relies on KAssignment to reject a K that is not an integer >= 1
+    for k in (0, 1.5):
+        with pytest.raises(ValueError, match="redundancy constant"):
+            run_steady_state(two_node, assign_k(two_node, fixed_policy(k)), TrickleParams(runs=1))
 
 
 def test_result_round_trip(tmp_path, two_node):
