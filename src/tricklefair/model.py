@@ -18,9 +18,10 @@ of the first K instants, or a later instant while fewer than K of the
 earlier-slotted neighbors actually transmitted. Expressing that probability
 through the neighbors' own transmission probabilities couples the network
 into N equations p = F(p) in N unknowns, which are solved here by damped
-fixed-point iteration. Each sweep evaluates the nodes in groups of equal
-degree and K, one array per group. F falls as any neighbor's p rises, so plain
-iteration oscillates; every sweep therefore moves p halfway to F(p).
+fixed-point iteration. Each sweep evaluates the nodes in one array per
+distinct K, sorted by degree so that every node does only its own y steps of
+the subset DP. F falls as any neighbor's p rises, so plain iteration
+oscillates; every sweep therefore moves p halfway to F(p).
 Neighbor transmissions are treated as independent events; the discrete-event
 simulator quantifies the error this approximation introduces.
 """
@@ -99,53 +100,65 @@ def degree_table(y: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 class _SweepPlan:
-    """Nodes grouped by (degree y, K) for the batched update map.
+    """Nodes batched by K for the vectorized update map.
 
-    p_f holds p_first per node; it does not depend on the iterate. Each group
-    of nodes with y >= K keeps its node ids, its neighbor ids as a (y, G)
-    array and the weights pmf[n] / C(y, n) for n = K..y, so that one sweep
-    runs the subset DP of the whole group as a single array.
+    p_f holds p_first per node; it does not depend on the iterate. For each
+    distinct K, the nodes with y >= K form one batch whose columns run from
+    the largest degree to the smallest, ties by node id. Step c of the subset
+    DP takes the c-th neighbor of the leading active[c] columns, the ones with
+    y > c, so every node takes exactly its own y steps over its own K states.
+    A batch keeps its node ids, K, active, the neighbor ids in step order
+    (step c's ids follow step c-1's) and a (y_max + 1, G) weight array that
+    holds pmf[m] / C(y, m) at rows m = K..y of each column and 0 elsewhere.
     """
 
     def __init__(self, topology, k_assignment) -> None:
         if len(k_assignment.k) != topology.n:
             raise ValueError("k_assignment length does not match topology")
-        members: dict[tuple[int, int], list[int]] = {}
+        members: dict[int, list[int]] = {}
         p_f = []
         for i, (neigh, k) in enumerate(zip(topology.neighbor_lists, k_assignment.k)):
             y = len(neigh)
             p_f.append(degree_table(y)[1][min(k, y + 1) - 1])  # cdf[y] = 1 covers K > y
             if y >= k:
-                members.setdefault((y, k), []).append(i)
+                members.setdefault(k, []).append(i)
         self.p_f = np.array(p_f)
-        self.groups = []
-        for (y, k), nodes in sorted(members.items()):
-            weights = degree_table(y)[2][k:]
-            neighbors = np.array([topology.neighbor_lists[i] for i in nodes]).T
-            self.groups.append((np.array(nodes), neighbors, k, weights))
+        self.batches = []
+        for k, nodes in sorted(members.items()):
+            nodes.sort(key=lambda i: -len(topology.neighbor_lists[i]))  # stable: ties stay by id
+            lists = [topology.neighbor_lists[i] for i in nodes]
+            ys = [len(neigh) for neigh in lists]
+            active = [sum(y > c for y in ys) for c in range(ys[0])]
+            neighbors = [neigh[c] for c, a in enumerate(active) for neigh in lists[:a]]
+            weights = np.zeros((ys[0] + 1, len(nodes)))
+            for g, y in enumerate(ys):
+                weights[k : y + 1, g] = degree_table(y)[2][k:]
+            self.batches.append((np.array(nodes), k, active, np.array(neighbors), weights))
 
     def p_lo(self, p: np.ndarray) -> np.ndarray:
         """Last-opportunity probability of every node against the iterate p; 0 where y < K."""
         out = np.zeros(len(p))
-        for nodes, neighbors, k, weights in self.groups:
+        for nodes, k, active, neighbors, weights in self.batches:
             q = p[neighbors]
             r = 1.0 - q
-            y, g = q.shape
-            # w[m, j, node] is the sum, over m-subsets of the node's neighbors,
-            # of P(exactly j of them transmit); one node per column. After c
-            # neighbors only the rows m <= c can be non-zero.
-            w = np.zeros((y + 1, k, g))
+            # w[m, j, col] is the sum, over m-subsets of the column's first c
+            # neighbors, of P(exactly j of them transmit). After c neighbors
+            # only the rows m <= c can be non-zero.
+            w = np.zeros((len(weights), k, len(nodes)))
             w[0, 0] = 1.0
-            for c in range(y):
-                prev = w[: c + 1]
-                silent = r[c] * prev
+            start = 0
+            for c, a in enumerate(active):
+                step = slice(start, start + a)
+                start += a
+                prev = w[: c + 1, :, :a]
+                silent = r[step] * prev
                 if k > 1:  # with K = 1 a firing neighbor only leaves the state
-                    fired = q[c] * prev[:, :-1]
-                    w[1 : c + 2] += silent
-                    w[1 : c + 2, 1:] += fired
+                    fired = q[step] * prev[:, :-1]
+                    w[1 : c + 2, :, :a] += silent
+                    w[1 : c + 2, 1:, :a] += fired
                 else:
-                    w[1 : c + 2] += silent
-            out[nodes] = weights @ w[k:].sum(axis=1)
+                    w[1 : c + 2, :, :a] += silent
+            out[nodes] = np.einsum("mjg,mg->g", w, weights)
         return out
 
 
@@ -155,9 +168,9 @@ def update_map(topology, k_assignment, current_p, *, plan: _SweepPlan | None = N
     Nodes with fewer neighbors than their redundancy constant map to exactly
     1; all others map to p_first plus the last-opportunity probability
     evaluated against the previous iterate. Output is clipped to [0, 1]
-    against rounding. plan is the (degree, K) grouping of this topology and
-    k_assignment; solve_fixed_point passes the one it built, and it is built
-    here when omitted.
+    against rounding. plan holds this topology's nodes batched by K and
+    sorted by degree; solve_fixed_point passes the one it built, and it is
+    built here when omitted.
     """
     p = np.asarray(current_p, dtype=float)
     if p.shape != (topology.n,):

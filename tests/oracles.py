@@ -1,6 +1,6 @@
 """Scalar reference implementations the tests compare the package against.
 
-The model evaluates its formulas for whole (degree, K) groups at once; these
+The model evaluates its formulas for every node of a K batch at once; these
 are the one-node-at-a-time versions, written for clarity rather than speed.
 """
 import itertools

@@ -271,12 +271,17 @@ class TestUpdateMap:
 
     def test_batched_map_matches_scalar_oracle(self, grid):
         udg = generate_random_udg(60, 10, 1.8, 2)
-        cases = [(grid, fixed_policy(k)) for k in range(1, 7)]
-        cases += [(bundled_random_topology(), fixed_policy(2)), (udg, heuristic_policy(3, 0))]
+        random49 = bundled_random_topology()
+        cases = [(grid, assign_k(grid, fixed_policy(k))) for k in range(1, 7)]
+        heuristic = assign_k(udg, heuristic_policy(3, 0))
+        cases += [(random49, assign_k(random49, fixed_policy(2))), (udg, heuristic)]
+        # K drawn apart from degree puts many degrees, and K > y, in every K batch
+        dense = Topology.from_edges(203, generate_random_udg(200, 8, 1.6, 1).edges)  # 3 isolated nodes
+        drawn = tuple(int(k) for k in np.random.default_rng(5).integers(1, 13, dense.n))
+        cases.append((dense, KAssignment(drawn, {"mode": "drawn"})))
         rng = np.random.default_rng(11)
         low_degree = isolated = 0
-        for topo, policy in cases:
-            ka = assign_k(topo, policy)
+        for topo, ka in cases:
             low_degree += int(np.sum(topo.degrees < np.array(ka.k)))
             isolated += int(np.sum(topo.degrees == 0))
             for _ in range(3):
@@ -286,7 +291,8 @@ class TestUpdateMap:
                 assert np.max(np.abs(update_map(topo, ka, p) - scalar_update_map(topo, ka, p))) <= 1e-13
         # the cases must keep exercising forced nodes, including isolated ones
         assert low_degree > 0 and isolated > 0
-        assert len(set(assign_k(udg, heuristic_policy(3, 0)).k)) > 1
+        assert len(set(heuristic.k)) > 1 and len(set(drawn)) == 12
+        assert np.any((dense.degrees < np.array(drawn)) & (dense.degrees > 0))
 
     @settings(max_examples=50, deadline=None, derandomize=True, database=None)
     @given(small_networks_with_iterate())
@@ -417,9 +423,21 @@ class TestSolveFixedPoint:
         with pytest.raises(ValueError, match=f"degree {MAX_DEGREE + 1} is outside the supported range"):
             solve_fixed_point(star, assign_k(star, fixed_policy(1)))
 
-    def test_rejects_k_below_one(self, two_node):
-        with pytest.raises(ValueError, match=">= 1"):
-            solve_fixed_point(two_node, KAssignment((1, 0), {"mode": "fixed", "k": 0}))
+    @settings(max_examples=50, deadline=None, derandomize=True, database=None)
+    @given(st.data())
+    def test_relabeling_permutes_the_solution(self, data):
+        # K batches order tied degrees by node id; relabeling the nodes must
+        # move the solution with them and change nothing else
+        topo, ka = data.draw(small_networks())
+        perm = data.draw(st.permutations(range(topo.n)))
+        relabeled = Topology.from_edges(topo.n, [(perm[a], perm[b]) for a, b in topo.edges])
+        ks = [0] * topo.n
+        for i, k in enumerate(ka.k):
+            ks[perm[i]] = k
+        sol = solve_fixed_point(topo, ka, _PROPERTY_SOLVER)
+        moved = solve_fixed_point(relabeled, KAssignment(tuple(ks), ka.policy), _PROPERTY_SOLVER)
+        assert moved.iterations == sol.iterations
+        assert np.max(np.abs(moved.p_tx[list(perm)] - sol.p_tx)) <= 1e-12
 
 
 def test_solution_round_trip(tmp_path, grid):
