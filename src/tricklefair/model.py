@@ -1,46 +1,31 @@
 """Average per-node transmission probabilities for steady-state Trickle.
 
-With unsynchronized fixed-length intervals, the firing instants of a node's
-neighbors land uniformly over the node's own interval, so the number of them
-earlier than the node's instant T ~ U[I/2, I) is binomial with success
-probability T/I. Marginalizing over T gives a closed-form mass function with
-exact rational values:
+A node with y neighbors and redundancy constant K transmits when fewer than
+K of the neighbors that fired before it in its interval transmitted. With
+unsynchronized fixed-length intervals its firing instant is uniform on the
+second half of its interval, and at instant t (in intervals) each neighbor
+j independently fired earlier with probability t. Treating the neighbors'
+transmissions as independent events with probabilities p_j,
 
-    P(earlier count = n) = 2/(y+1) * 2^-(y+1) * sum_{m=0}^{n} C(y+1, m)
+    F(p)_i = 2 * integral_{1/2}^{1} P(PoissonBinomial(t * p_j over neighbors j) < K) dt.
 
-degree_table computes it once per degree, in exact integer arithmetic, together
-with its cdf and the weights of the subset sums below, each value rounded
-once; every other quantity of the model is read from that table. Degrees up
-to MAX_DEGREE = 512 are supported.
-
-A node with y neighbors and redundancy constant K transmits when it draws one
-of the first K instants, or a later instant while fewer than K of the
-earlier-slotted neighbors actually transmitted. Expressing that probability
-through the neighbors' own transmission probabilities couples the network
-into N equations p = F(p) in N unknowns, which are solved here by damped
-fixed-point iteration. Each sweep evaluates the nodes in one array per
-distinct K, sorted by degree so that every node does only its own y steps of
-the subset DP. F falls as any neighbor's p rises, so plain iteration
-oscillates; every sweep therefore moves p halfway to F(p).
-Neighbor transmissions are treated as independent events; the discrete-event
-simulator quantifies the error this approximation introduces.
+The integrand is a polynomial of degree y in t, so a Gauss-Legendre rule of
+y // 2 + 1 points integrates it exactly up to rounding, at any degree. At
+p = 1, F is p_first, the probability of drawing one of the first K instants,
+which is kept exact. The N equations p = F(p) are solved by fixed-point
+iteration; F falls as any neighbor's p rises, so plain iteration
+oscillates, and every sweep moves p halfway to F(p). The discrete-event
+simulator quantifies the error of the independence approximation.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
-from itertools import accumulate
 
 import numpy as np
+from numpy.polynomial.legendre import leggauss
 
 from .io import _is_int, write_csv, write_json
-
-# The largest neighbor count the model evaluates. Up to it every weight
-# pmf[n] / C(y, n) is a normal float and every subset-DP entry, at most
-# C(y, n) <= 2^y, is finite; the tests check the table against exact
-# rational arithmetic up to here.
-MAX_DEGREE = 512
 
 _INITIAL_P = 0.5  # starting probability of every node not forced to 1
 _DAMPING = 0.5  # weight of F(p) against p in every sweep
@@ -74,91 +59,75 @@ class ModelSolution:
     converged: bool
 
 
-@lru_cache(maxsize=MAX_DEGREE + 1)  # one entry per supported degree
-def degree_table(y: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(pmf, cdf, weights) of the earlier-instant count for y neighbors, read-only.
+def _p_first(y: int, k: int) -> float:
+    """P(fewer than k of y neighbors fire earlier): the integral of F at p = 1.
 
-    pmf[n] = P(count = n) and cdf[n] = P(count <= n) for n = 0..y, so that
-    p_first(y, K) = cdf[K - 1] and cdf[y] = 1; weights[n] = pmf[n] / C(y, n)
-    scales the subset sum over n-subsets. Each value is an exact integer ratio
-    rounded once by Python's correctly rounded int / int division: with
-    run[n] = sum_{m<=n} C(y+1, m), pmf[n] = run[n] / ((y+1) 2^y).
+    With run[n] = sum_{m<=n} C(y+1, m), it is sum_{n<k} run[n] / ((y+1) 2^y),
+    whose numerator sums to sum_{m<k} (k - m) C(y+1, m); Python's int / int
+    division rounds the exact ratio once. Equals 1 when k > y.
     """
-    if not 0 <= y <= MAX_DEGREE:
-        raise ValueError(f"degree {y} is outside the supported range 0..{MAX_DEGREE}")
-    denom = (y + 1) << y
-    run = list(accumulate(math.comb(y + 1, m) for m in range(y + 1)))
-    columns = (
-        [r / denom for r in run],
-        [c / denom for c in accumulate(run)],
-        [r / (denom * math.comb(y, n)) for n, r in enumerate(run)],
-    )
-    arrays = [np.array(col) for col in columns]
-    for arr in arrays:
-        arr.flags.writeable = False  # shared by every caller through the cache
-    return tuple(arrays)
+    if k > y:
+        return 1.0
+    return sum((k - m) * math.comb(y + 1, m) for m in range(k)) / ((y + 1) << y)
 
 
 class _SweepPlan:
     """Nodes batched by K for the vectorized update map.
 
     p_f holds p_first per node; it does not depend on the iterate. For each
-    distinct K, the nodes with y >= K form one batch whose columns run from
-    the largest degree to the smallest, ties by node id. Step c of the subset
-    DP takes the c-th neighbor of the leading active[c] columns, the ones with
-    y > c, so every node takes exactly its own y steps over its own K states.
-    A batch keeps its node ids, K, active, the neighbor ids in step order
-    (step c's ids follow step c-1's) and a (y_max + 1, G) weight array that
-    holds pmf[m] / C(y, m) at rows m = K..y of each column and 0 elsewhere.
+    distinct K, the nodes with y >= K form one batch, ordered from the
+    largest degree to the smallest, ties by node id. Each node owns y // 2 + 1
+    consecutive columns, one per point t of its Gauss-Legendre rule on
+    [1/2, 1], with weights summing to 1. Step c of the DP takes the c-th
+    neighbor of the leading nodes, the ones with y > c, into their leading
+    columns, so every node takes exactly its own y steps over K states. A
+    batch keeps its node ids, K, per step the slice of its neighbor ids and
+    the number of columns it updates, the neighbor ids in step order, each
+    column's node, point and weight, and each node's first column.
     """
 
     def __init__(self, topology, k_assignment) -> None:
         if len(k_assignment.k) != topology.n:
             raise ValueError("k_assignment length does not match topology")
-        members: dict[int, list[int]] = {}
-        p_f = []
-        for i, (neigh, k) in enumerate(zip(topology.neighbor_lists, k_assignment.k)):
-            y = len(neigh)
-            p_f.append(degree_table(y)[1][min(k, y + 1) - 1])  # cdf[y] = 1 covers K > y
-            if y >= k:
-                members.setdefault(k, []).append(i)
-        self.p_f = np.array(p_f)
+        lists = topology.neighbor_lists
+        degrees, ks = topology.degrees, np.array(k_assignment.k)
+        self.p_f = np.array([_p_first(y, k) for y, k in zip(degrees.tolist(), k_assignment.k)])
         self.batches = []
-        for k, nodes in sorted(members.items()):
-            nodes.sort(key=lambda i: -len(topology.neighbor_lists[i]))  # stable: ties stay by id
-            lists = [topology.neighbor_lists[i] for i in nodes]
-            ys = [len(neigh) for neigh in lists]
+        rules: dict[int, tuple[np.ndarray, np.ndarray]] = {}  # Gauss-Legendre rules by size
+        for k in sorted(set(ks[degrees >= ks].tolist())):
+            nodes = np.flatnonzero((ks == k) & (degrees >= k))
+            nodes = nodes[np.argsort(-degrees[nodes], kind="stable")].tolist()  # ties stay by id
+            ys = [len(lists[i]) for i in nodes]
+            sizes = [y // 2 + 1 for y in ys]
+            rules.update((s, leggauss(s)) for s in set(sizes) - rules.keys())
+            times = 0.75 + 0.25 * np.concatenate([rules[s][0] for s in sizes])  # [-1, 1] onto [1/2, 1]
+            weights = 0.5 * np.concatenate([rules[s][1] for s in sizes])
+            owner = np.repeat(np.arange(len(nodes)), sizes)
+            starts = np.cumsum([0] + sizes)
             active = [sum(y > c for y in ys) for c in range(ys[0])]
-            neighbors = [neigh[c] for c, a in enumerate(active) for neigh in lists[:a]]
-            weights = np.zeros((ys[0] + 1, len(nodes)))
-            for g, y in enumerate(ys):
-                weights[k : y + 1, g] = degree_table(y)[2][k:]
-            self.batches.append((np.array(nodes), k, active, np.array(neighbors), weights))
+            neighbors = [lists[i][c] for c, a in enumerate(active) for i in nodes[:a]]
+            ends = np.cumsum(active).tolist()  # step c's neighbor ids end here
+            steps = list(zip([0] + ends[:-1], ends, starts[active].tolist()))
+            self.batches.append((np.array(nodes), k, steps, np.array(neighbors), owner, times, weights, starts[:-1]))
 
-    def p_lo(self, p: np.ndarray) -> np.ndarray:
-        """Last-opportunity probability of every node against the iterate p; 0 where y < K."""
-        out = np.zeros(len(p))
-        for nodes, k, active, neighbors, weights in self.batches:
+    def evaluate(self, p: np.ndarray) -> np.ndarray:
+        """F(p) of every node against the iterate p; 1 where y < K."""
+        out = np.ones(len(p))
+        for nodes, k, steps, neighbors, owner, times, weights, starts in self.batches:
             q = p[neighbors]
-            r = 1.0 - q
-            # w[m, j, col] is the sum, over m-subsets of the column's first c
-            # neighbors, of P(exactly j of them transmit). After c neighbors
-            # only the rows m <= c can be non-zero.
-            w = np.zeros((len(weights), k, len(nodes)))
-            w[0, 0] = 1.0
-            start = 0
-            for c, a in enumerate(active):
-                step = slice(start, start + a)
-                start += a
-                prev = w[: c + 1, :, :a]
-                silent = r[step] * prev
-                if k > 1:  # with K = 1 a firing neighbor only leaves the state
-                    fired = q[step] * prev[:, :-1]
-                    w[1 : c + 2, :, :a] += silent
-                    w[1 : c + 2, 1:, :a] += fired
+            # w[j, col]: P(exactly j of its node's first c neighbors
+            # transmitted earlier) at the column's t, for j < K
+            w = np.zeros((k, len(times)))
+            w[0] = 1.0
+            for lo, hi, b in steps:
+                x = q[lo:hi][owner[:b]] * times[:b]  # P(fired earlier and transmitted | t)
+                if k > 1:  # with K = 1 a transmitting neighbor only leaves the state
+                    fired = x * w[:-1, :b]
+                    w[:, :b] *= 1.0 - x
+                    w[1:, :b] += fired
                 else:
-                    w[1 : c + 2, :, :a] += silent
-            out[nodes] = np.einsum("mjg,mg->g", w, weights)
+                    w[0, :b] *= 1.0 - x
+            out[nodes] = np.add.reduceat(weights * w.sum(axis=0), starts)
         return out
 
 
@@ -166,11 +135,10 @@ def update_map(topology, k_assignment, current_p, *, plan: _SweepPlan | None = N
     """One Jacobi sweep of the coupled probability equations.
 
     Nodes with fewer neighbors than their redundancy constant map to exactly
-    1; all others map to p_first plus the last-opportunity probability
-    evaluated against the previous iterate. Output is clipped to [0, 1]
-    against rounding. plan holds this topology's nodes batched by K and
-    sorted by degree; solve_fixed_point passes the one it built, and it is
-    built here when omitted.
+    1; all others map to the integral F evaluated against the previous
+    iterate. Output is clipped to [0, 1] against rounding. plan holds this
+    topology's nodes batched by K and sorted by degree; solve_fixed_point
+    passes the one it built, and it is built here when omitted.
     """
     p = np.asarray(current_p, dtype=float)
     if p.shape != (topology.n,):
@@ -179,7 +147,7 @@ def update_map(topology, k_assignment, current_p, *, plan: _SweepPlan | None = N
         raise ValueError("current_p entries must lie in [0, 1]")
     if plan is None:
         plan = _SweepPlan(topology, k_assignment)
-    return np.clip(plan.p_f + plan.p_lo(p), 0.0, 1.0)
+    return np.clip(plan.evaluate(p), 0.0, 1.0)
 
 
 def solve_fixed_point(topology, k_assignment, config: SolverConfig | None = None) -> ModelSolution:

@@ -1,15 +1,66 @@
 """Scalar reference implementations the tests compare the package against.
 
-The model evaluates its formulas for every node of a K batch at once; these
-are the one-node-at-a-time versions, written for clarity rather than speed.
+The model integrates over a node's firing instant with a Gauss-Legendre rule
+for every node of a K batch at once; these are one-node-at-a-time versions
+derived another way, written for clarity rather than speed: an exact
+per-degree table of the earlier-instant count and a DP over the subsets of
+neighbors that fired earlier.
 """
 import itertools
 import math
+from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
-from tricklefair.model import degree_table
 from tricklefair.simulator import CI95_Z
+
+# The largest neighbor count degree_table covers. Up to it every weight
+# pmf[n] / C(y, n) is a normal float and every subset-DP entry, at most
+# C(y, n) <= 2^y, is finite.
+MAX_DEGREE = 512
+
+
+@lru_cache(maxsize=MAX_DEGREE + 1)  # one entry per supported degree
+def degree_table(y: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(pmf, cdf, weights) of the earlier-instant count for y neighbors, read-only.
+
+    Marginalizing Binomial(y, t) over the firing instant t ~ U[1/2, 1) gives
+
+        P(count = n) = 2/(y+1) * 2^-(y+1) * sum_{m=0}^{n} C(y+1, m).
+
+    pmf[n] = P(count = n) and cdf[n] = P(count <= n) for n = 0..y, so that
+    p_first(y, K) = cdf[K - 1] and cdf[y] = 1; weights[n] = pmf[n] / C(y, n)
+    scales the subset sum over n-subsets. Each value is an exact integer ratio
+    rounded once by Python's correctly rounded int / int division: with
+    run[n] = sum_{m<=n} C(y+1, m), pmf[n] = run[n] / ((y+1) 2^y).
+    """
+    if not 0 <= y <= MAX_DEGREE:
+        raise ValueError(f"degree {y} is outside the supported range 0..{MAX_DEGREE}")
+    denom = (y + 1) << y
+    run = list(itertools.accumulate(math.comb(y + 1, m) for m in range(y + 1)))
+    columns = (
+        [r / denom for r in run],
+        [c / denom for c in itertools.accumulate(run)],
+        [r / (denom * math.comb(y, n)) for n, r in enumerate(run)],
+    )
+    arrays = [np.array(col) for col in columns]
+    for arr in arrays:
+        arr.flags.writeable = False  # shared by every caller through the cache
+    return tuple(arrays)
+
+
+def integral_pmf(y: int, n: int) -> Fraction:
+    """P(count = n) as the exact integral 2 * int_{1/2}^{1} C(y, n) t^n (1-t)^(y-n) dt.
+
+    Expands (1-t)^(y-n) binomially and integrates term by term in exact
+    rational arithmetic, independently of degree_table's closed form.
+    """
+    total = Fraction(0)
+    for i in range(y - n + 1):
+        e = n + i + 1  # int_{1/2}^{1} t^(e-1) dt = (1 - 2^-e) / e
+        total += (-1) ** i * math.comb(y - n, i) * Fraction((1 << e) - 1, e << e)
+    return 2 * math.comb(y, n) * total
 
 
 def p_first(y: int, k: int) -> float:
@@ -109,6 +160,14 @@ def p_last_opportunity(y: int, k: int, neighbor_probs) -> float:
     for n in range(k, y + 1):
         total += pmf[n] * w[n].sum() / math.comb(y, n)
     return float(total)
+
+
+def star_hub_k1(y: int, q: float) -> float:
+    """F of a K=1 hub whose y leaves all transmit with probability q > 0.
+
+    The closed form of 2 * int_{1/2}^{1} (1 - t q)^y dt.
+    """
+    return 2 * ((1 - q / 2) ** (y + 1) - (1 - q) ** (y + 1)) / (q * (y + 1))
 
 
 def estimate_probabilities(result):

@@ -6,12 +6,12 @@ bands are frozen below.
 * gate 1: the external reference statistics for the fixed-K grid sweep
   (max/min probability and variance per K) disagree with the equations
   implemented here by up to 0.073 on min probability, while this
-  implementation is verified against quadrature, exhaustive enumeration and
-  closed forms, and reproduces the reference per-class narrative (corners
-  1.0 / border 0.87 / interior 0.46 at K=4) almost exactly. The simulation
-  misses the same column (K=4 min about 0.22, variance about 0.066), so the
-  gate falls back to the per-node cross-validation of gate 4 and prints the
-  8/18 misses on its PASS line.
+  implementation is verified against exact rational arithmetic, exhaustive
+  enumeration and closed forms, and reproduces the reference per-class
+  narrative (corners 1.0 / border 0.87 / interior 0.46 at K=4) almost
+  exactly. The simulation misses the same column (K=4 min about 0.22,
+  variance about 0.066), so the gate falls back to the per-node
+  cross-validation of gate 4 and prints the 8/18 misses on its PASS line.
 * gates 4 and 7: the 0.08 per-node model-vs-simulation band. Interval
   phases stay frozen within a run, so the simulator's per-node variance sits
   between runs and only more runs narrow an estimate (30 runs give a ci95 of
@@ -34,9 +34,9 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from scipy import integrate
 
 from tricklefair import (
+    KAssignment,
     Topology,
     TrickleParams,
     assign_k,
@@ -49,10 +49,10 @@ from tricklefair import (
     solve_fixed_point,
 )
 from tricklefair.cli import bundled_random_topology, main as cli_main
-from tricklefair.model import MAX_DEGREE, degree_table
+from tricklefair.model import update_map
 from tricklefair.simulator import CI95_Z
 
-from oracles import gamma_exact, subset_cdf_average
+from oracles import p_first, star_hub_k1
 
 # reference fairness statistics for the fixed-K sweep on the 7x7 grid,
 # per K: (max probability, min probability, population variance)
@@ -266,36 +266,28 @@ def test_gate5_exact_small_instance_properties():
     sol = solve_fixed_point(two, assign_k(two, fixed_policy(1)))
     fixed_point_ok = np.allclose(sol.p_tx, 4 / 7, atol=1e-9)
 
-    sums_ok = all(abs(degree_table(y)[0].sum() - 1.0) <= 1e-12 for y in range(MAX_DEGREE + 1))
+    # F at p = 0 integrates 1: the quadrature weights of every rule size
+    # sum to 1, at the exactly tabulated degrees and well past them
+    silent_ok = True
+    for y in [*range(71), 127, 128, 255, 256, 511, 512, 999, 1000]:
+        star = Topology.from_edges(y + 1, [(0, i) for i in range(1, y + 1)])
+        f = update_map(star, assign_k(star, fixed_policy(1)), np.zeros(y + 1))
+        silent_ok &= bool(np.max(np.abs(f - 1.0)) <= 1e-13)
 
-    quad_ok = True
-    for y in range(21):
-        pmf = degree_table(y)[0]
-        for n in range(y + 1):
-            val, _ = integrate.quad(
-                lambda u: 2.0 * math.comb(y, n) * u**n * (1.0 - u) ** (y - n),
-                0.5,
-                1.0,
-                epsabs=1e-13,
-                epsrel=1e-13,
-            )
-            quad_ok &= abs(val - pmf[n]) <= 1e-10
+    # F at p = 1 is p_first: one hub per (y, K) with 1 <= K <= y <= 70 on a
+    # shared pool of 70 leaves, the leaves forced by a K above their degree
+    pairs = [(y, k) for y in range(1, 71) for k in range(1, y + 1)]
+    hubs = Topology.from_edges(70 + len(pairs), [(70 + h, i) for h, (y, _) in enumerate(pairs) for i in range(y)])
+    ka = KAssignment((len(pairs) + 1,) * 70 + tuple(k for _, k in pairs), {"mode": "drawn"})
+    f = update_map(hubs, ka, np.ones(hubs.n))[70:]
+    full_ok = bool(np.max(np.abs(f - [p_first(y, k) for y, k in pairs])) <= 1e-13)
 
-    rng = np.random.default_rng(2024)
-    dp_ok = True
-    cases = 0
-    while cases < 1000:
-        y = int(rng.integers(1, 11))
-        probs = rng.uniform(0.0, 1.0, size=y)
-        n = int(rng.integers(1, y + 1))
-        k = int(rng.integers(1, n + 1))
-        brute = 0.0
-        for chosen in itertools.combinations(range(y), n):
-            sub = [probs[i] for i in chosen]
-            brute += sum(gamma_exact(j, sub) for j in range(k))
-        brute /= math.comb(y, n)
-        dp_ok &= abs(subset_cdf_average(probs, n, k) - brute) <= 1e-12
-        cases += 1
+    star_ok = True
+    for y in (512, 1000):
+        star = Topology.from_edges(y + 1, [(0, i) for i in range(1, y + 1)])
+        for q in (0.05, 0.3, 0.9):
+            hub = update_map(star, assign_k(star, fixed_policy(1)), np.full(y + 1, q))[0]
+            star_ok &= abs(hub / star_hub_k1(y, q) - 1.0) <= 1e-10
 
     # y < K forces certain transmission: exact in the model; exact in the
     # simulation whenever the 2y-per-interval reception cap stays below K
@@ -313,9 +305,9 @@ def test_gate5_exact_small_instance_properties():
 
     checks = {
         "two-node fixed point = 4/7 (1e-9)": fixed_point_ok,
-        f"pmf sums to 1 for y <= {MAX_DEGREE} (1e-12)": sums_ok,
-        "pmf matches quadrature for y <= 20 (1e-10)": quad_ok,
-        "DP equals enumeration, 1000 cases (1e-12)": dp_ok,
+        "F(p = 0) = 1 for degrees 0..70, 127-128, 255-256, 511-512, 999-1000 (1e-13)": silent_ok,
+        "F(p = 1) = p_first for 1 <= K <= y <= 70 (1e-13)": full_ok,
+        "K=1 star hub = closed form for y in {512, 1000} (relative 1e-10)": star_ok,
         "y < K forces p = 1 in the model, 2y < K in the simulation": model_forced_ok and sim_forced_ok,
     }
     detail = "; ".join(f"{name}: {'ok' if ok else 'FAILED'}" for name, ok in checks.items())

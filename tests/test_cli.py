@@ -5,7 +5,6 @@ import pytest
 
 from tricklefair import Topology, load_topology, save_topology
 from tricklefair.cli import bundled_random_topology, main
-from tricklefair.model import MAX_DEGREE
 
 
 def run_cli(*argv):
@@ -80,7 +79,7 @@ def test_solve_isolated_node_probability_one(tmp_path, capsys):
     assert doc["per_node"][0]["p_tx"] == 1.0
 
 
-@pytest.mark.parametrize("leaves", [69, MAX_DEGREE])
+@pytest.mark.parametrize("leaves", [69, 512, 1000])
 def test_solve_star_up_to_degree_cap(tmp_path, leaves):
     topo = tmp_path / "star.json"
     save_topology(Topology.from_edges(leaves + 1, [(0, i) for i in range(1, leaves + 1)]), topo)
@@ -88,13 +87,6 @@ def test_solve_star_up_to_degree_cap(tmp_path, leaves):
     assert run_cli("solve", "--topo", topo, "--fixed-k", 1, "-o", out) == 0
     p = [rec["p_tx"] for rec in json.loads(out.read_text())["per_node"]]
     assert len(p) == leaves + 1 and all(0.0 <= v <= 1.0 for v in p)
-
-
-def test_solve_rejects_degree_above_cap(tmp_path, capsys):
-    topo = tmp_path / "star.json"
-    save_topology(Topology.from_edges(MAX_DEGREE + 2, [(0, i) for i in range(1, MAX_DEGREE + 2)]), topo)
-    assert run_cli("solve", "--topo", topo, "--fixed-k", 1, "-o", tmp_path / "sol.json") == 2
-    assert f"degree {MAX_DEGREE + 1} is outside the supported range 0..{MAX_DEGREE}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

@@ -6,7 +6,6 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy import integrate
 
 from tricklefair import (
     KAssignment,
@@ -20,9 +19,18 @@ from tricklefair import (
     solve_fixed_point,
 )
 from tricklefair.cli import bundled_random_topology
-from tricklefair.model import MAX_DEGREE, SolverConfig, _SweepPlan, degree_table, save_solution, update_map
+from tricklefair.model import SolverConfig, _SweepPlan, save_solution, update_map
 
-from oracles import gamma_exact, p_first, p_last_opportunity, subset_cdf_average
+from oracles import (
+    MAX_DEGREE,
+    degree_table,
+    gamma_exact,
+    integral_pmf,
+    p_first,
+    p_last_opportunity,
+    star_hub_k1,
+    subset_cdf_average,
+)
 from strategies import small_networks
 from test_acceptance import grid_symmetries
 
@@ -30,18 +38,6 @@ from test_acceptance import grid_symmetries
 # the slowest of 600 seeded small networks takes 143, and a diverging
 # example then fails in seconds instead of minutes of shrinking.
 _PROPERTY_SOLVER = SolverConfig(max_iterations=1000)
-
-
-def quad_pmf(y, n):
-    """Independent oracle: marginal of Binomial(y, u) over u ~ U(1/2, 1)."""
-    val, _ = integrate.quad(
-        lambda u: 2.0 * math.comb(y, n) * u**n * (1.0 - u) ** (y - n),
-        0.5,
-        1.0,
-        epsabs=1e-13,
-        epsrel=1e-13,
-    )
-    return val
 
 
 def brute_subset_average(probs, n, k):
@@ -83,10 +79,9 @@ class TestYtPmf:
         assert degree_table(2)[0] == pytest.approx([1 / 12, 1 / 3, 7 / 12], abs=1e-15)
 
     def test_matches_quadrature(self):
+        # the closed form rounds the integral of the binomial over t once
         for y in range(0, 21):
-            pmf = degree_table(y)[0]
-            for n in range(y + 1):
-                assert pmf[n] == pytest.approx(quad_pmf(y, n), abs=1e-10)
+            assert degree_table(y)[0].tolist() == [float(integral_pmf(y, n)) for n in range(y + 1)]
 
     def test_sums_to_one_up_to_max_degree(self):
         for y in range(0, MAX_DEGREE + 1):
@@ -102,7 +97,7 @@ class TestYtPmf:
 class TestDegreeTable:
     @pytest.mark.parametrize("y", [*range(71), 127, 128, 255, 256, 511, MAX_DEGREE])
     def test_equals_exact_rationals(self, y):
-        # the closed form of the module docstring, evaluated in exact arithmetic
+        # the closed form of degree_table's docstring, evaluated in exact arithmetic
         partial_sums = itertools.accumulate(math.comb(y + 1, m) for m in range(y + 1))
         pmf = [Fraction(2 * s, (y + 1) * 2 ** (y + 1)) for s in partial_sums]
         cdf = list(itertools.accumulate(pmf))
@@ -303,6 +298,16 @@ class TestUpdateMap:
         assert np.all(out[topo.degrees < np.array(ka.k)] == 1.0)
         assert np.max(np.abs(out - scalar_update_map(topo, ka, p))) <= 1e-13
 
+    @pytest.mark.parametrize("y", [512, 1000])
+    def test_star_hub_matches_closed_form(self, y):
+        # the integral has no degree cap: its rule of y // 2 + 1 points stays
+        # exact past the 512 neighbors the exact table can represent
+        star = Topology.from_edges(y + 1, [(0, i) for i in range(1, y + 1)])
+        ka = assign_k(star, fixed_policy(1))
+        for q in (0.05, 0.3, 0.9):
+            hub = update_map(star, ka, np.full(y + 1, q))[0]
+            assert hub == pytest.approx(star_hub_k1(y, q), rel=1e-10, abs=0.0)
+
     def test_k_assignment_length_mismatch(self, two_node):
         ka = assign_k(Topology.from_edges(3, [(0, 1)]), fixed_policy(1))
         with pytest.raises(ValueError, match="length"):
@@ -417,11 +422,6 @@ class TestSolveFixedPoint:
         joint = solve_fixed_point(union, KAssignment(ka1.k + ka2.k, {"mode": "drawn"}), _PROPERTY_SOLVER)
         assert joint.converged
         assert np.max(np.abs(joint.p_tx - np.concatenate([s.p_tx for s in sols]))) <= 1e-9
-
-    def test_degree_cap_raises(self):
-        star = Topology.from_edges(MAX_DEGREE + 2, [(0, i) for i in range(1, MAX_DEGREE + 2)])
-        with pytest.raises(ValueError, match=f"degree {MAX_DEGREE + 1} is outside the supported range"):
-            solve_fixed_point(star, assign_k(star, fixed_policy(1)))
 
     @settings(max_examples=50, deadline=None, derandomize=True, database=None)
     @given(st.data())
