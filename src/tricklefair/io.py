@@ -49,7 +49,10 @@ def read_records(path, required, fields) -> list[dict]:
     exactly 0..n-1. Anything else raises ValueError naming the file.
     """
     with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
+        try:
+            doc = json.load(fh)
+        except (ValueError, RecursionError) as exc:  # also not UTF-8, or nested too deeply
+            raise ValueError(f"{path}: invalid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ValueError(f"{path}: top-level value must be an object")
     for field in (*required, "per_node"):

@@ -10,9 +10,9 @@ modeling. Time is measured in intervals: phases, instants and suppression
 depend only on positions within an interval, so results do not depend on
 the interval length. Results are deterministic for a fixed base seed: run r,
 node i draws from an independent substream, the doubles of
-``numpy.random.default_rng((base_seed, r, i))``. They are generated for all
-nodes of a run at once by a numpy kernel that repeats numpy's seeding and
-PCG64 steps (``_rng.py``), so no per-node generator is built.
+``numpy.random.default_rng((base_seed, r, i))``. ``_rng.py`` hashes the
+``SeedSequence`` seeds of all nodes at once and numpy's own ``PCG64`` steps
+each stream, so no per-node ``SeedSequence`` or ``Generator`` is built.
 """
 from __future__ import annotations
 

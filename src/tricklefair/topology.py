@@ -167,8 +167,8 @@ def generate_random_udg(n: int, side: float, radio_range: float, seed: int) -> T
     """
     if n < 1:
         raise TopologyError("topology needs at least one node")
-    if side <= 0:
-        raise TopologyError("side must be positive")
+    if not 0 < side < math.inf:  # written so that NaN fails it too
+        raise TopologyError("side must be positive and finite")
     rng = np.random.default_rng(seed)
     positions = rng.uniform(0.0, side, size=(n, 2))
     return Topology.from_positions(positions, radio_range)
@@ -202,10 +202,8 @@ def load_topology(path) -> Topology:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise TopologyError(
-                f"{path}: invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}"
-            ) from exc
+        except (ValueError, RecursionError) as exc:  # also not UTF-8, or nested too deeply
+            raise TopologyError(f"{path}: invalid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise TopologyError(f"{path}: top-level value must be an object")
 

@@ -27,10 +27,8 @@ bands are frozen below.
 See notes in the repository README ("Validation status") for discussion.
 """
 import itertools
-import json
 import math
 import time
-from collections import Counter
 
 import numpy as np
 import pytest

@@ -1,7 +1,11 @@
 import csv
 import json
+import math
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tricklefair import Topology, load_topology, save_topology
 from tricklefair.cli import bundled_random_topology, main
@@ -178,12 +182,42 @@ def test_compare_rejects_malformed_records(tmp_path, grid_file, capsys, which, m
     assert not out.exists()
 
 
-@pytest.mark.parametrize("radio_range", ["nan", "inf"])
-def test_gen_rejects_non_finite_range(tmp_path, capsys, radio_range):
-    out = tmp_path / "grid.json"
-    assert run_cli("gen", "grid", "--rows", 3, "--cols", 3, "--range", radio_range, "-o", out) == 4
-    assert "radio range must be positive and finite" in capsys.readouterr().err
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        pytest.param(("grid", "--rows", 3, "--cols", 3, "--range", "nan"), "radio range", id="nan"),
+        pytest.param(("grid", "--rows", 3, "--cols", 3, "--range", "inf"), "radio range", id="inf"),
+        pytest.param(("random", "--n", 5, "--side", "nan", "--range", 1.5), "side", id="side-nan"),
+        pytest.param(("random", "--n", 5, "--side", "inf", "--range", 1.5), "side", id="side-inf"),
+    ],
+)
+def test_gen_rejects_non_finite_range(tmp_path, capsys, args, message):
+    out = tmp_path / "topo.json"
+    assert run_cli("gen", *args, "-o", out) == 4
+    assert f"{message} must be positive and finite" in capsys.readouterr().err
     assert not out.exists()
+
+
+# 100,000 levels overflow the JSON decoder's recursion guard
+UNREADABLE_JSON = {"deeply-nested": b"[" * 100_000 + b"]" * 100_000, "not-utf8": b'{"nodes": "\xff"}'}
+
+
+@pytest.mark.parametrize("content", UNREADABLE_JSON.values(), ids=UNREADABLE_JSON.keys())
+def test_unreadable_topology_is_io_error(tmp_path, capsys, content):
+    topo = tmp_path / "topo.json"
+    topo.write_bytes(content)
+    assert run_cli("solve", "--topo", topo, "--fixed-k", 1, "-o", tmp_path / "sol.json") == 4
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {topo}: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("content", UNREADABLE_JSON.values(), ids=UNREADABLE_JSON.keys())
+def test_unreadable_records_are_usage_error(tmp_path, capsys, content):
+    records = tmp_path / "records.json"
+    records.write_bytes(content)
+    assert run_cli("compare", "--model", records, "--sim", records, "-o", tmp_path / "c.csv") == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {records}: ") and "Traceback" not in err
 
 
 def test_missing_topology_file_is_io_error(tmp_path):
@@ -278,3 +312,58 @@ def test_negative_seed_is_usage_error_and_writes_nothing(tmp_path, grid_file, ca
     assert run_cli("reproduce", "--table", 1, "--out", out, "--seed", -3) == 2
     assert not out.exists()
     assert "base_seed must be an integer >= 0" in capsys.readouterr().err
+
+
+# floats for CLI options and topology fields: nan, +-inf, negatives and any other double
+_floats = st.sampled_from([math.nan, math.inf, -math.inf, -1.0, 0.0]) | st.floats() | st.integers(-3, 10)
+_scalars = st.none() | st.booleans() | st.integers(-3, 40) | _floats | st.text(max_size=2)
+
+
+@st.composite
+def _topology_docs(draw):
+    n = draw(st.integers(0, 30))
+    coords = _floats | st.none()
+    nodes = []
+    for i in range(n):
+        # mostly the dense id i, sometimes one out of range or not an integer
+        node_id = draw(st.sampled_from([i, i, i, -1, n]) | _scalars)
+        nodes.append({"id": node_id, "x": draw(coords), "y": draw(coords)})
+    edges = st.lists(st.lists(st.integers(-1, 31) | _scalars, min_size=1, max_size=3), max_size=40)
+    doc = {"nodes": nodes, "range": draw(_scalars), "edges": draw(st.none() | edges | _scalars)}
+    return json.dumps(doc).encode()
+
+
+_topology_files = st.one_of(
+    _topology_docs(),
+    st.integers(1, 100_000).map(lambda depth: b"[" * depth + b"]" * depth),
+    st.binary(max_size=40),
+)
+
+
+@settings(max_examples=50, deadline=None, derandomize=True, database=None)
+@given(
+    st.one_of(
+        st.tuples(st.just("grid"), st.integers(-1, 6), st.integers(-1, 6), _floats, _floats),
+        st.tuples(st.just("random"), st.integers(-1, 30), _floats, _floats, st.integers(-1, 2**64)),
+        st.tuples(st.just("topology"), _topology_files),
+    )
+)
+def test_cli_fuzz_exits_with_documented_code(case):
+    # A bad topology is exit 4 and a bad record file exit 2; only a negative
+    # seed is a usage error for gen. --opt=value keeps -inf from reading as an option.
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "out.json"
+        if case[0] == "grid":
+            _, rows, cols, spacing, radio_range = case
+            argv = ["gen", "grid", f"--rows={rows}", f"--cols={cols}", f"--spacing={spacing}", f"--range={radio_range}"]
+            codes = {0, 4}
+        elif case[0] == "random":
+            _, n, side, radio_range, seed = case
+            argv = ["gen", "random", f"--n={n}", f"--side={side}", f"--range={radio_range}", f"--seed={seed}"]
+            codes = {0, 4} if seed >= 0 else {2, 4}
+        else:
+            topo = Path(tmp) / "topo.json"
+            topo.write_bytes(case[1])
+            assert main(["compare", f"--model={topo}", f"--sim={topo}", f"--output={out}"]) == 2
+            argv, codes = ["solve", f"--topo={topo}", "--fixed-k=1"], {0, 3, 4}
+        assert main([*argv, f"--output={out}"]) in codes

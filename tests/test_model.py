@@ -13,7 +13,6 @@ from tricklefair import (
     assign_k,
     fairness,
     fixed_policy,
-    generate_grid,
     generate_random_udg,
     heuristic_policy,
     solve_fixed_point,

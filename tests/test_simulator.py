@@ -12,7 +12,7 @@ from tricklefair import (
     generate_random_udg,
     run_steady_state,
 )
-from tricklefair._rng import substreams
+from tricklefair._rng import _Words, substreams
 from tricklefair.simulator import save_result, save_result_csv
 
 from oracles import estimate_probabilities, single_run
@@ -99,6 +99,21 @@ def test_substreams_match_default_rng():
             assert np.array_equal(got[run], want), f"base_seed {seed}, run {run}"
 
 
+@pytest.mark.parametrize("n_words, dtype", [(4, np.uint32), (8, np.uint32), (2, np.uint64), (8, np.uint64)])
+def test_precomputed_seed_words_reject_other_requests(n_words, dtype):
+    # a change in how PCG64 asks for its seed must fail, not draw other streams
+    words = _Words(np.arange(4, dtype=np.uint64))
+    assert words.generate_state(4, np.uint64) is words.words
+    with pytest.raises(ValueError, match="only generate_state"):
+        words.generate_state(n_words, dtype)
+
+
+def test_precomputed_seed_words_are_four_contiguous_uint64():
+    for bad in (np.arange(4, dtype=np.uint32), np.arange(5, dtype=np.uint64), np.arange(8, dtype=np.uint64)[::2]):
+        with pytest.raises(ValueError, match="4 contiguous uint64"):
+            _Words(bad)
+
+
 @settings(max_examples=50, deadline=None, derandomize=True, database=None)
 @given(
     small_networks(),
@@ -116,8 +131,8 @@ def test_random_networks_match_reference_simulator(case, runs, intervals, warmup
 
 
 def test_large_network_matches_reference_simulator():
-    # big enough that draws, kernel passes and event unpacking all split
-    # into several blocks
+    # big enough that the event unpacking splits into several blocks (runs
+    # split across seed-hash calls are covered by test_substreams_match_default_rng)
     topo = generate_random_udg(700, 26.5, 1.6, 3)
     ka = assign_k(topo, fixed_policy(2))
     params = TrickleParams(runs=2, base_seed=11)
@@ -135,6 +150,18 @@ def test_two_node_pair_mean_near_model_value(two_node):
     pair_mean = float(res.mean_p.mean())
     assert abs(pair_mean - 4 / 7) <= 0.1
     assert abs(pair_mean - 0.5) <= 0.03
+
+
+def test_two_node_pair_total_within_one_of_intervals(two_node):
+    # At K=1 one reception suppresses, so the pair carries exactly one
+    # transmission per interval; the two nodes' measured windows are offset
+    # by their phases, which moves at most one transmission in or out.
+    ka = assign_k(two_node, fixed_policy(1))
+    for seed in (1, 2, 3):
+        for warmup, measured in ((0, 1), (2, 10), (3, 50), (0, 200)):
+            params = TrickleParams(measured_intervals=measured, warmup_intervals=warmup, runs=500, base_seed=seed)
+            totals = run_steady_state(two_node, ka, params).counts.sum(axis=1)
+            assert np.all(np.abs(totals - measured) <= 1), (seed, warmup, measured)
 
 
 def test_grid_population_variance_magnitude(grid):
