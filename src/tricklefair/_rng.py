@@ -1,22 +1,23 @@
 """numpy's ``default_rng((base_seed, run, node)).random()`` doubles, for every node of a run.
 
-Building one ``Generator`` per node costs tens of microseconds, mostly
-``SeedSequence`` hashing. This module hashes every node's seed at once with
-whole-array arithmetic that repeats numpy's own steps, then lets numpy's
-``PCG64`` step each stream, so the doubles are the same bit for bit:
+Building one ``Generator`` or ``PCG64`` per node costs microseconds each, in
+``SeedSequence`` hashing and in bit-generator set-up. This module repeats
+numpy's own steps with whole-array arithmetic over blocks of whole runs, so
+the doubles are the same bit for bit:
 
 1. ``SeedSequence``: the entropy words of ``(base_seed, run, node)`` (each
    integer split into little-endian 32-bit words, 0 as one zero word) are
    hashed into a pool of 4 words, which ``generate_state(4, uint64)``
-   expands. numpy has no batched form of this step; it is the one done here.
-2. ``PCG64``: seeded from those 4 words through ``_Words``, it draws
-   ``random_raw(count)``.
+   expands.
+2. ``PCG64`` (O'Neill, *PCG*, 2014): a 128-bit LCG, state <- state * M + inc
+   modulo 2**128, seeded as numpy's ``pcg64_set_seed`` does from those words.
+   The state is a pair of (high, low) uint64 arrays; each draw is one
+   multiply-add step and the XSL-RR output ``rotr(high ^ low, high >> 58)``.
 3. ``Generator.random``: ``(x >> 11) * 2**-53``.
 """
 from __future__ import annotations
 
 import numpy as np
-from numpy.random.bit_generator import ISeedSequence
 
 _MASK32 = 0xFFFFFFFF
 _POOL_SIZE = 4
@@ -26,7 +27,8 @@ _INIT_B = 0x8B51F9DD
 _MULT_B = 0x58F38DED
 _MIX_MULT_L = 0xCA01F9DD
 _MIX_MULT_R = 0x4973F715
-_BLOCK = 1 << 13
+_PCG_MULT_HI, _PCG_MULT_LO = divmod(0x2360ED051FC65DA44385DF649FCCF645, 1 << 64)  # M, as two words
+_BLOCK = 1 << 10
 
 
 def _words(value: int) -> list[int]:
@@ -76,19 +78,16 @@ def _seed_state(base_seed: int, runs: np.ndarray, nodes: np.ndarray) -> list[np.
     return [hashmix(pool[i % _POOL_SIZE]) for i in range(8)]
 
 
-class _Words(ISeedSequence):
-    """A seed sequence whose ``generate_state(4, uint64)`` words are already computed."""
-
-    def __init__(self, words: np.ndarray) -> None:
-        # PCG64 reads the returned buffer directly, without checking it
-        if words.dtype.type is not np.uint64 or words.shape != (4,) or not words.flags.c_contiguous:
-            raise ValueError("seed words must be 4 contiguous uint64")
-        self.words = words
-
-    def generate_state(self, n_words, dtype=np.uint32) -> np.ndarray:
-        if n_words != 4 or np.dtype(dtype) != np.uint64:
-            raise ValueError(f"only generate_state(4, uint64) is precomputed, not ({n_words}, {dtype})")
-        return self.words
+def _pcg_step(hi: np.ndarray, lo: np.ndarray, inc_hi: np.ndarray, inc_lo: np.ndarray):
+    """(hi, lo) * M + (inc_hi, inc_lo) modulo 2**128; uint64 array products wrap modulo 2**64."""
+    a1, a0 = lo >> 32, lo & _MASK32
+    b1, b0 = _PCG_MULT_LO >> 32, _PCG_MULT_LO & _MASK32
+    p01, p10 = a0 * b1, a1 * b0
+    mid = ((a0 * b0) >> 32) + (p01 & _MASK32) + (p10 & _MASK32)
+    carry = a1 * b1 + (p01 >> 32) + (p10 >> 32) + (mid >> 32)  # high word of lo * _PCG_MULT_LO
+    new_lo = lo * _PCG_MULT_LO + inc_lo
+    new_hi = carry + hi * _PCG_MULT_LO + lo * _PCG_MULT_HI + inc_hi + (new_lo < inc_lo)
+    return new_hi, new_lo
 
 
 def substreams(base_seed: int, runs: int, n: int, count: int):
@@ -96,17 +95,25 @@ def substreams(base_seed: int, runs: int, n: int, count: int):
 
     Row i equals ``np.random.default_rng((base_seed, run, i)).random(count)``.
     Run and node ids must stay below 2**32 (one entropy word each).
-    Consecutive runs share one hash call of up to ``_BLOCK`` seeds, which
-    amortizes numpy call overhead on small networks and caps memory on
-    large ones.
+    Consecutive runs are hashed and stepped together in blocks of up to
+    ``_BLOCK`` rows (always whole runs), which amortizes numpy call overhead
+    on small networks and caps memory on large ones.
     """
-    per_call = max(1, _BLOCK // n)
+    per_block = max(1, _BLOCK // n)
     nodes = np.arange(n, dtype=np.uint64)
-    for first in range(0, runs, per_call):
-        run_ids = np.arange(first, min(first + per_call, runs), dtype=np.uint64)[:, None]
-        w = _seed_state(base_seed, run_ids, nodes)
-        # generate_state(4, uint64) pairs the 32-bit words little-endian
-        seeds = np.stack([w[2 * k] | (w[2 * k + 1] << 32) for k in range(4)], axis=-1)
-        for run_seeds in seeds:
-            raw = np.array([np.random.PCG64(_Words(s)).random_raw(count) for s in run_seeds])
-            yield (raw >> 11) * 2.0**-53
+    for first in range(0, runs, per_block):
+        run_ids = np.arange(first, min(first + per_block, runs), dtype=np.uint64)[:, None]
+        w = [word.ravel() for word in _seed_state(base_seed, run_ids, nodes)]
+        # generate_state(4, uint64) pairs the 32-bit words little-endian;
+        # pcg64_set_seed reads words 0-1 as the seed and 2-3 as the increment
+        seed_hi, seed_lo, inc_hi, inc_lo = (w[2 * k] | (w[2 * k + 1] << 32) for k in range(4))
+        inc_hi, inc_lo = (inc_hi << 1) | (inc_lo >> 63), (inc_lo << 1) | 1  # PCG64 makes it odd
+        lo = inc_lo + seed_lo  # state 0 stepped once is inc; then state += seed
+        hi, lo = _pcg_step(inc_hi + seed_hi + (lo < seed_lo), lo, inc_hi, inc_lo)
+        doubles = np.empty((lo.size, count))
+        for k in range(count):
+            hi, lo = _pcg_step(hi, lo, inc_hi, inc_lo)
+            xored, rot = hi ^ lo, hi >> 58
+            raw = (xored >> rot) | (xored << ((64 - rot) & 63))
+            np.multiply(raw >> 11, 2.0**-53, out=doubles[:, k])
+        yield from doubles.reshape(-1, n, count)

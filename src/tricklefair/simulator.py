@@ -10,9 +10,10 @@ modeling. Time is measured in intervals: phases, instants and suppression
 depend only on positions within an interval, so results do not depend on
 the interval length. Results are deterministic for a fixed base seed: run r,
 node i draws from an independent substream, the doubles of
-``numpy.random.default_rng((base_seed, r, i))``. ``_rng.py`` hashes the
-``SeedSequence`` seeds of all nodes at once and numpy's own ``PCG64`` steps
-each stream, so no per-node ``SeedSequence`` or ``Generator`` is built.
+``numpy.random.default_rng((base_seed, r, i))``, which ``_rng.py`` draws
+for many nodes at once in uint64 arrays. One unstable sort orders a run's
+events; only when two event times tie is the order refined, so that ties
+break by node id, then interval.
 """
 from __future__ import annotations
 
@@ -60,11 +61,13 @@ def _single_run(neighbor_lists, ks, params: TrickleParams, draws: np.ndarray) ->
     n, total = draws.shape[0], draws.shape[1] - 1
     phases = draws[:, 0]
     # The same float operations as phases[i] + m + offsets[m] one event at a
-    # time; a stable sort of the row-major (node, m) order breaks ties (measure
-    # zero) by ascending node id, then interval.
-    times = (phases[:, None] + np.arange(total)) + (0.5 + 0.5 * draws[:, 1:])
-    order = np.argsort(times, axis=None, kind="stable")
-    times = times.ravel()
+    # time, in row-major (node, m) order.
+    times = ((phases[:, None] + np.arange(total)) + (0.5 + 0.5 * draws[:, 1:])).ravel()
+    order = np.argsort(times)
+    times = times[order]
+    if np.any(times[1:] == times[:-1]):
+        # ties (measure zero) break by row-major index: node id, then interval
+        order = order[np.lexsort((order, times))]
     phases = phases.tolist()
 
     counter = [0] * n
@@ -75,8 +78,8 @@ def _single_run(neighbor_lists, ks, params: TrickleParams, draws: np.ndarray) ->
     # Events are unpacked into Python lists one block at a time, which keeps
     # the per-event objects of a large network from being alive all at once.
     for lo in range(0, order.size, _EVENT_BLOCK):
-        block = order[lo : lo + _EVENT_BLOCK]
-        nodes, intervals = np.divmod(block, total)
+        block = slice(lo, lo + _EVENT_BLOCK)
+        nodes, intervals = np.divmod(order[block], total)
         for t, i, m in zip(times[block].tolist(), nodes.tolist(), intervals.tolist()):
             if current[i] != m:
                 current[i] = m

@@ -111,21 +111,37 @@ class Topology:
 
     @classmethod
     def from_positions(cls, positions, radio_range: float) -> "Topology":
-        """Build a unit-disk topology: edge iff distance <= radio_range."""
+        """Build a unit-disk topology: edge iff distance <= radio_range.
+
+        A sort-and-sweep search: with the nodes sorted by x, each node is
+        compared with its k-th successor for k = 1, 2, ... (one array step per
+        k) until no successor is within 2 * radio_range in x.
+        """
         pos = _check_positions(positions, None)
         # written so that NaN fails it too
         if not 0 < radio_range < math.inf:
             raise TopologyError("radio range must be positive and finite")
         n = pos.shape[0]
-        limit = radio_range * radio_range * (1.0 + RANGE_SLACK)
-        adjacency: list[list[int]] = [[] for _ in range(n)]
-        for i in range(n):
-            d2 = np.sum((pos[i + 1 :] - pos[i]) ** 2, axis=1)
-            for off in np.nonzero(d2 <= limit)[0]:
-                j = i + 1 + int(off)
-                adjacency[i].append(j)
-                adjacency[j].append(i)
-        neighbor_lists = tuple(tuple(sorted(adj)) for adj in adjacency)
+        # Differences are rescaled by a power of two, which is exact, so that the
+        # square of a huge or tiny range stays a normal float.
+        scale = 2.0**-600 if radio_range > 2.0**500 else 2.0**600 if radio_range < 2.0**-500 else 1.0
+        reach = radio_range * scale
+        limit = reach * reach * (1.0 + RANGE_SLACK)
+        order = np.argsort(pos[:, 0])
+        x, y = pos[order, 0], pos[order, 1]
+        near, far = [np.empty(0, dtype=order.dtype)], []  # the two ends of each edge found
+        with np.errstate(over="ignore"):  # an overflowing distance is out of range
+            for k in range(1, n):
+                dx = x[k:] - x[:-k]
+                if dx.min() > 2.0 * radio_range:  # x is sorted: later successors are farther
+                    break
+                hits = np.nonzero((dx * scale) ** 2 + ((y[k:] - y[:-k]) * scale) ** 2 <= limit)[0]
+                near.append(order[hits])
+                far.append(order[hits + k])
+        src, dst = np.concatenate(near + far), np.concatenate(far + near)
+        dst = dst[np.lexsort((dst, src))].tolist()
+        ends = np.cumsum(np.bincount(src, minlength=n)).tolist()
+        neighbor_lists = tuple(tuple(dst[lo:hi]) for lo, hi in zip([0] + ends, ends))
         return cls(neighbor_lists, pos, float(radio_range))
 
 

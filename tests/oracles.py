@@ -4,7 +4,9 @@ The model integrates over a node's firing instant with a Gauss-Legendre rule
 for every node of a K batch at once; these are one-node-at-a-time versions
 derived another way, written for clarity rather than speed: an exact
 per-degree table of the earlier-instant count and a DP over the subsets of
-neighbors that fired earlier.
+neighbors that fired earlier. The simulator and the unit-disk edge search
+have references here too: one generator and one sorted event tuple at a
+time, and one node against all later nodes at a time.
 """
 import itertools
 import math
@@ -14,11 +16,20 @@ from functools import lru_cache
 import numpy as np
 
 from tricklefair.simulator import CI95_Z
+from tricklefair.topology import RANGE_SLACK
 
 # The largest neighbor count degree_table covers. Up to it every weight
 # pmf[n] / C(y, n) is a normal float and every subset-DP entry, at most
 # C(y, n) <= 2^y, is finite.
 MAX_DEGREE = 512
+
+
+def _pascal_row(y: int) -> list[int]:
+    """C(y, 0..y) by the multiplicative recurrence C(y, m+1) = C(y, m) (y-m) / (m+1), exact in integers."""
+    row = [1]
+    for m in range(y):
+        row.append(row[-1] * (y - m) // (m + 1))
+    return row
 
 
 @lru_cache(maxsize=MAX_DEGREE + 1)  # one entry per supported degree
@@ -38,11 +49,11 @@ def degree_table(y: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     if not 0 <= y <= MAX_DEGREE:
         raise ValueError(f"degree {y} is outside the supported range 0..{MAX_DEGREE}")
     denom = (y + 1) << y
-    run = list(itertools.accumulate(math.comb(y + 1, m) for m in range(y + 1)))
+    run = list(itertools.accumulate(_pascal_row(y + 1)[: y + 1]))
     columns = (
         [r / denom for r in run],
         [c / denom for c in itertools.accumulate(run)],
-        [r / (denom * math.comb(y, n)) for n, r in enumerate(run)],
+        [r / (denom * c) for r, c in zip(run, _pascal_row(y))],
     )
     arrays = [np.array(col) for col in columns]
     for arr in arrays:
@@ -191,23 +202,30 @@ def single_run(topology, ks, params, run_idx: int) -> np.ndarray:
     """
     n = topology.n
     total = params.warmup_intervals + params.measured_intervals + 1
-
     phases = np.empty(n)
-    events = []
+    offsets = np.empty((n, total))
     for i in range(n):
         rng = np.random.default_rng((params.base_seed, run_idx, i))
         phases[i] = rng.uniform(0.0, 1.0)
-        offsets = rng.uniform(0.5, 1.0, size=total)
-        for m in range(total):
-            events.append((phases[i] + m + offsets[m], i, m))
-    events.sort()  # ties (measure zero) break by ascending node id
+        offsets[i] = rng.uniform(0.5, 1.0, size=total)
+    return decision_loop(topology.neighbor_lists, ks, params, phases, offsets)
+
+
+def decision_loop(neighbor_lists, ks, params, phases, offsets) -> np.ndarray:
+    """Transmission counts from given phases and (node, interval) firing offsets.
+
+    The events are (t, node, interval) tuples sorted as tuples, so equal
+    times break by ascending node id, then interval.
+    """
+    n, total = offsets.shape
+    events = [(phases[i] + m + offsets[i, m], i, m) for i in range(n) for m in range(total)]
+    events.sort()
 
     counter = [0] * n
     current = [-(1 << 60)] * n  # interval index the counter belongs to
     counts = np.zeros(n, dtype=np.int64)
     first = params.warmup_intervals
     last = params.warmup_intervals + params.measured_intervals
-    neighbor_lists = topology.neighbor_lists
     for t, i, m in events:
         if current[i] != m:
             current[i] = m
@@ -223,3 +241,18 @@ def single_run(topology, ks, params, run_idx: int) -> np.ndarray:
                 counter[j] = 0
             counter[j] += 1
     return counts
+
+
+def unit_disk_neighbors(positions, radio_range: float) -> tuple[tuple[int, ...], ...]:
+    """Sorted neighbor tuples of the unit-disk graph, one node against all later nodes at a time."""
+    pos = np.asarray(positions, dtype=float)
+    n = pos.shape[0]
+    limit = radio_range * radio_range * (1.0 + RANGE_SLACK)
+    adjacency: list[list[int]] = [[] for _ in range(n)]
+    for i in range(n):
+        d2 = np.sum((pos[i + 1 :] - pos[i]) ** 2, axis=1)
+        for off in np.nonzero(d2 <= limit)[0]:
+            j = i + 1 + int(off)
+            adjacency[i].append(j)
+            adjacency[j].append(i)
+    return tuple(tuple(sorted(adj)) for adj in adjacency)

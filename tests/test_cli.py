@@ -198,6 +198,14 @@ def test_gen_rejects_non_finite_range(tmp_path, capsys, args, message):
     assert not out.exists()
 
 
+def test_gen_grid_with_huge_spacing_writes_true_edges(tmp_path, capsys):
+    # the diagonals' squared length, 2e400, overflows a double; it must not pass the range test
+    out = tmp_path / "huge.json"
+    assert run_cli("gen", "grid", "--rows", 2, "--cols", 2, "--spacing", 1e200, "--range", 1e200, "-o", out) == 0
+    assert load_topology(out).edges == [(0, 1), (0, 2), (1, 3), (2, 3)]
+    assert "Warning" not in capsys.readouterr().err
+
+
 # 100,000 levels overflow the JSON decoder's recursion guard
 UNREADABLE_JSON = {"deeply-nested": b"[" * 100_000 + b"]" * 100_000, "not-utf8": b'{"nodes": "\xff"}'}
 

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import json
 import math
@@ -107,6 +108,15 @@ class TestDegreeTable:
         assert cdf[-1] == 1
         # every weight is a normal float, so no digit is lost to underflow
         assert min(weights) >= Fraction(np.finfo(float).tiny)
+
+    def test_every_table_is_bit_identical_to_math_comb(self):
+        # sha256 of all 3 x 513 arrays as built with math.comb for every entry,
+        # before the Pascal rows came from the multiplicative recurrence
+        digest = hashlib.sha256()
+        for y in range(MAX_DEGREE + 1):
+            for arr in degree_table(y):
+                digest.update(arr.astype("<f8").tobytes())
+        assert digest.hexdigest() == "1169c11250770c3504f83607be9959ae28589cd7d4f3f6a228ed87544c079153"
 
     def test_cdf_is_the_scalar_p_first(self):
         for y in (0, 1, 3, 8, 20, 64, 200):

@@ -12,10 +12,10 @@ from tricklefair import (
     generate_random_udg,
     run_steady_state,
 )
-from tricklefair._rng import _Words, substreams
-from tricklefair.simulator import save_result, save_result_csv
+from tricklefair._rng import _BLOCK, substreams
+from tricklefair.simulator import _single_run, save_result, save_result_csv
 
-from oracles import estimate_probabilities, single_run
+from oracles import decision_loop, estimate_probabilities, single_run
 from strategies import small_networks
 
 
@@ -97,21 +97,28 @@ def test_substreams_match_default_rng():
         for run in (0, 1, 29):
             want = [np.random.default_rng((seed, run, i)).random(count) for i in range(n)]
             assert np.array_equal(got[run], want), f"base_seed {seed}, run {run}"
+    # one draw per node; a row cap that falls inside the third run (blocks of
+    # two runs, the last one short); a run larger than the cap on its own
+    for n, runs, count in ((49, 45, 1), (_BLOCK // 3 + 17, 5, 3), (_BLOCK + 5, 2, 2)):
+        got = list(substreams(5, runs, n, count))
+        assert len(got) == runs
+        for run in range(runs):
+            want = [np.random.default_rng((5, run, i)).random(count) for i in range(n)]
+            assert np.array_equal(got[run], want), f"n {n}, run {run}"
 
 
-@pytest.mark.parametrize("n_words, dtype", [(4, np.uint32), (8, np.uint32), (2, np.uint64), (8, np.uint64)])
-def test_precomputed_seed_words_reject_other_requests(n_words, dtype):
-    # a change in how PCG64 asks for its seed must fail, not draw other streams
-    words = _Words(np.arange(4, dtype=np.uint64))
-    assert words.generate_state(4, np.uint64) is words.words
-    with pytest.raises(ValueError, match="only generate_state"):
-        words.generate_state(n_words, dtype)
-
-
-def test_precomputed_seed_words_are_four_contiguous_uint64():
-    for bad in (np.arange(4, dtype=np.uint32), np.arange(5, dtype=np.uint64), np.arange(8, dtype=np.uint64)[::2]):
-        with pytest.raises(ValueError, match="4 contiguous uint64"):
-            _Words(bad)
+def test_tied_event_times_break_by_node_then_interval():
+    # Nodes that share a row of draws fire at equal times in every interval.
+    # The order of ties decides who suppresses whom, so the counts must equal
+    # those of the (t, node, interval) tuple sort.
+    topo = generate_random_udg(90, 3.0, 1.0, 2)
+    params = TrickleParams(measured_intervals=12, warmup_intervals=2, runs=1)
+    rows = np.random.default_rng(4).random((3, params.warmup_intervals + params.measured_intervals + 2))
+    draws = rows[np.arange(topo.n) % 3]
+    for k in (1, 2):
+        ks = [k] * topo.n
+        want = decision_loop(topo.neighbor_lists, ks, params, draws[:, 0], 0.5 + 0.5 * draws[:, 1:])
+        assert _single_run(topo.neighbor_lists, ks, params, draws) == want.tolist()
 
 
 @settings(max_examples=50, deadline=None, derandomize=True, database=None)
@@ -132,7 +139,7 @@ def test_random_networks_match_reference_simulator(case, runs, intervals, warmup
 
 def test_large_network_matches_reference_simulator():
     # big enough that the event unpacking splits into several blocks (runs
-    # split across seed-hash calls are covered by test_substreams_match_default_rng)
+    # split across hash-and-step blocks are covered by test_substreams_match_default_rng)
     topo = generate_random_udg(700, 26.5, 1.6, 3)
     ka = assign_k(topo, fixed_policy(2))
     params = TrickleParams(runs=2, base_seed=11)

@@ -1,9 +1,12 @@
 import json
 import math
+import tempfile
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tricklefair import (
     Topology,
@@ -13,6 +16,23 @@ from tricklefair import (
     load_topology,
     save_topology,
 )
+
+from oracles import unit_disk_neighbors
+from strategies import small_networks
+
+# ranges scaled by these units take the rescaled path; a power of two scales exactly
+EXTREME_UNITS = (2.0**600, 2.0**-600)
+
+
+@st.composite
+def layouts(draw):
+    """(positions, radio_range) on a lattice (duplicate points, equal x, pairs exactly at the range) or off it."""
+    unit = draw(st.sampled_from([1.0, 0.3, 2.0**-20, *EXTREME_UNITS]))
+    coord = st.integers(-6, 6).map(lambda v: v * unit) | st.floats(-6 * unit, 6 * unit)
+    positions = draw(st.lists(st.tuples(coord, coord), min_size=1, max_size=40))
+    # 1, sqrt(2) and 5 are exact lattice distances (5 from a 3-4-5 triangle)
+    radio_range = unit * draw(st.sampled_from([1.0, math.sqrt(2.0), 5.0]) | st.floats(0.01, 8.0))
+    return positions, radio_range
 
 
 def test_grid_7x7_matches_reference_density(grid):
@@ -242,3 +262,57 @@ def test_diagonal_inclusion_under_sqrt2():
     # sqrt(2) as a literal radius must include the diagonal of a unit cell
     t = generate_grid(2, 2, 1.0, math.sqrt(2.0))
     assert t.num_edges == 6
+
+
+@settings(max_examples=50, deadline=None, derandomize=True, database=None)
+@given(layouts())
+def test_from_positions_matches_unit_disk_oracle(layout):
+    positions, radio_range = layout
+    # the oracle squares the range as given, so an extreme layout is compared rescaled exactly
+    scale = next((1.0 / u for u in EXTREME_UNITS if u / 100 <= radio_range <= u * 8), 1.0)
+    want = unit_disk_neighbors(np.array(positions) * scale, radio_range * scale)
+    assert Topology.from_positions(positions, radio_range).neighbor_lists == want
+
+
+@pytest.mark.parametrize("n, side, radio_range, seed", [(200, 8.0, 1.6, 1), (700, 26.5, 1.6, 3), (2000, 44.7, 1.22, 7)])
+def test_random_udg_matches_unit_disk_oracle(n, side, radio_range, seed):
+    t = generate_random_udg(n, side, radio_range, seed)
+    assert t.neighbor_lists == unit_disk_neighbors(t.positions, radio_range)
+
+
+def test_from_positions_duplicates_and_equal_x():
+    # three copies of the origin, a column of equal x with (0, 5) exactly at the
+    # range and (0, 5.5) beyond it, and a 3-4-5 pair exactly at the range
+    t = Topology.from_positions([[0, 0], [0, 0], [0, 0], [0, 5], [3, 4], [0, 5.5]], 5.0)
+    want = ((1, 2, 3, 4), (0, 2, 3, 4), (0, 1, 3, 4), (0, 1, 2, 4, 5), (0, 1, 2, 3, 5), (3, 4))
+    assert t.neighbor_lists == want
+
+
+def test_from_positions_extreme_magnitudes():
+    # squared differences past 1.8e308 must neither link nor warn (warnings are errors here)
+    t = Topology.from_positions([[1e308, 0.0], [-1e308, 0.0], [1e308, 1.0]], 2.0)
+    assert t.edges == [(0, 2)]
+    # a tiny range's square must not underflow to a limit that links pairs beyond it
+    for radio_range in (1e-160, 1e-300):
+        positions = [[x * radio_range, 0.0] for x in (0.0, 1.0, 1.5, 3.0)]
+        assert Topology.from_positions(positions, radio_range).edges == [(0, 1), (1, 2)]
+
+
+@st.composite
+def topologies(draw):
+    """A unit-disk topology from layouts(), or an edge-list one with or without positions."""
+    if draw(st.booleans()):
+        return Topology.from_positions(*draw(layouts()))
+    topo, _ = draw(small_networks())
+    coord = st.floats(allow_nan=False, allow_infinity=False)
+    positions = draw(st.none() | st.lists(st.tuples(coord, coord), min_size=topo.n, max_size=topo.n))
+    return Topology.from_edges(topo.n, topo.edges, positions)
+
+
+@settings(max_examples=50, deadline=None, derandomize=True, database=None)
+@given(topologies())
+def test_save_load_round_trip(topo):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "topo.json"
+        save_topology(topo, path)
+        assert load_topology(path) == topo
