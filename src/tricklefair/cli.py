@@ -32,6 +32,14 @@ EXIT_IO = 4
 
 GRID_RANGE = math.sqrt(2.0)
 
+# reproduce's roll-up rows: statistic name -> FairnessReport field
+_STATISTICS = {
+    "average_message_count": "message_count",
+    "max_probability": "max_p",
+    "min_probability": "min_p",
+    "variance": "variance",
+}
+
 
 def _sha256(path) -> str:
     digest = hashlib.sha256()
@@ -57,20 +65,14 @@ def _add_policy_args(parser) -> None:
     parser.add_argument("--offset", type=int, default=redundancy.DEFAULT_OFFSET, help="neighbor count mapped to K=1")
 
 
-def _manifest(topo_path, policy, outputs=None, solver=None, simulation=None) -> dict:
-    doc = {
+def _manifest(topo_path, policy, **fields) -> dict:
+    return {
         "tool": "tricklefair",
         "version": __version__,
         "topology": {"path": str(topo_path), "sha256": _sha256(topo_path)},
         "policy": policy,
+        **fields,
     }
-    if outputs is not None:
-        doc["outputs"] = [str(p) for p in outputs]
-    if solver is not None:
-        doc["solver"] = solver
-    if simulation is not None:
-        doc["simulation"] = simulation
-    return doc
 
 
 def _print_fairness(report: metrics.FairnessReport) -> None:
@@ -135,15 +137,7 @@ def cmd_simulate(args) -> int:
 def cmd_compare(args) -> int:
     sol = io.read_records(args.model, ("converged", "iterations", "residual"), ("degree", "k", "p_tx"))
     res = io.read_records(args.sim, ("params",), ("mean_p",))
-    p_model = [rec["p_tx"] for rec in sol]
-    p_sim = [rec["mean_p"] for rec in res]
-    if len(p_model) != len(p_sim):
-        print(
-            f"error: node count mismatch (model {len(p_model)}, simulation {len(p_sim)})",
-            file=sys.stderr,
-        )
-        return EXIT_USAGE
-    comparison = metrics.compare(p_model, p_sim)
+    comparison = metrics.compare([rec["p_tx"] for rec in sol], [rec["mean_p"] for rec in res])
     degrees = [rec["degree"] for rec in sol]
     ks = [rec["k"] for rec in sol]
     metrics.save_comparison_csv(args.output, degrees, ks, comparison)
@@ -194,14 +188,12 @@ def cmd_reproduce(args) -> int:
     planned = [topo_path.name, rollup_path.name]
     for label, _ in configs:
         planned += [f"model_{label}.json", f"model_{label}.csv", f"sim_{label}.json", f"sim_{label}.csv"]
-    manifest = _manifest(topo_path, [p for _, p in configs], planned, simulation=asdict(params))
+    manifest = _manifest(topo_path, [p for _, p in configs], outputs=planned, simulation=asdict(params))
     manifest["table"] = args.table
     manifest["status"] = "running"
     io.write_json(manifest_path, manifest)
 
-    stats = ["average_message_count", "max_probability", "min_probability", "variance"]
-    if args.table != 3:
-        stats = stats[1:]
+    stats = list(_STATISTICS) if args.table == 3 else list(_STATISTICS)[1:]
     columns = []
     for label, policy in configs:
         assignment = redundancy.assign_k(topo, policy)
@@ -220,13 +212,7 @@ def cmd_reproduce(args) -> int:
         for source, probs in (("model", solution.p_tx), ("sim", result.mean_p)):
             rep = metrics.fairness(probs, source=source)
             manifest.setdefault("fairness", {}).setdefault(label, {})[source] = asdict(rep)
-            values = {
-                "average_message_count": rep.message_count,
-                "max_probability": rep.max_p,
-                "min_probability": rep.min_p,
-                "variance": rep.variance,
-            }
-            columns.append((f"{source}_{label}", [values[s] for s in stats]))
+            columns.append((f"{source}_{label}", [getattr(rep, _STATISTICS[s]) for s in stats]))
 
     io.write_csv(
         rollup_path,

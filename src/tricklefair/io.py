@@ -3,9 +3,9 @@
 JSON is UTF-8 with a 2-space indent, sorted keys and one trailing newline.
 CSV comes from csv.writer with its defaults (comma separated, CRLF line
 ends); a float, Python or numpy float64 alike, is written with the shortest
-digits that read back to the same value, as repr gives them. Per-node files
-are read back through read_records, which checks every record a caller
-indexes before handing it out.
+digits that read back to the same value, as repr gives them. JSON files are
+read through read_object; per-node files through read_records, which checks
+every record a caller indexes before handing it out.
 """
 from __future__ import annotations
 
@@ -40,6 +40,18 @@ def _is_finite_number(value) -> bool:
         return False
 
 
+def read_object(path, error=ValueError) -> dict:
+    """Read a JSON object from path; anything else raises error (a ValueError) naming the file."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            doc = json.load(fh)
+        except (ValueError, RecursionError) as exc:  # also not UTF-8, or nested too deeply
+            raise error(f"{path}: invalid JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise error(f"{path}: top-level value must be an object")
+    return doc
+
+
 def read_records(path, required, fields) -> list[dict]:
     """Read the per-node records of a JSON file, sorted by id.
 
@@ -48,13 +60,7 @@ def read_records(path, required, fields) -> list[dict]:
     "id" and a finite number in every field named in fields; the ids must be
     exactly 0..n-1. Anything else raises ValueError naming the file.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except (ValueError, RecursionError) as exc:  # also not UTF-8, or nested too deeply
-            raise ValueError(f"{path}: invalid JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise ValueError(f"{path}: top-level value must be an object")
+    doc = read_object(path)
     for field in (*required, "per_node"):
         if field not in doc:
             raise ValueError(f"{path}: missing field {field!r}")

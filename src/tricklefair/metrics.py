@@ -82,7 +82,7 @@ def class_means(topology, probabilities) -> dict[int, float]:
 
 def export_surface(topology, probabilities, path) -> None:
     """Write x,y,p rows for surface plotting; needs node positions."""
-    if not topology.has_positions:
+    if topology.positions is None:
         raise ValueError("surface export needs a topology with node positions")
     p = np.asarray(probabilities, dtype=float)
     if p.shape != (topology.n,):

@@ -155,7 +155,7 @@ def solve_fixed_point(topology, k_assignment, config: SolverConfig | None = None
 
     Stops when the fixed-point defect max|F(p) - p| drops below the
     tolerance. Non-convergence is reported through the `converged` flag, not
-    raised; non-finite iterates abort with a diagnostic.
+    raised.
     """
     cfg = config or SolverConfig()
     plan = _SweepPlan(topology, k_assignment)
@@ -168,10 +168,6 @@ def solve_fixed_point(topology, k_assignment, config: SolverConfig | None = None
     iterations = 0
     for iterations in range(1, cfg.max_iterations + 1):
         f = update_map(topology, k_assignment, p, plan=plan)
-        if not np.all(np.isfinite(f)):
-            raise FloatingPointError(
-                f"non-finite iterate at iteration {iterations}; last residual {defect:.3e}"
-            )
         defect = float(np.max(np.abs(f - p)))
         if defect < cfg.tolerance:
             converged = True

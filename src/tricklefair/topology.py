@@ -7,13 +7,12 @@ available.
 """
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .io import _is_finite_number, _is_int, write_json
+from .io import _is_finite_number, _is_int, read_object, write_json
 
 # The unit-disk test is inclusive with a tiny relative slack so that exact
 # radii such as sqrt(2) on an integer grid keep their boundary pairs despite
@@ -62,10 +61,6 @@ class Topology:
     def edges(self) -> list[tuple[int, int]]:
         """Sorted list of unordered edges as (low id, high id) pairs."""
         return [(i, j) for i in range(self.n) for j in self.neighbor_lists[i] if i < j]
-
-    @property
-    def has_positions(self) -> bool:
-        return self.positions is not None
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Topology):
@@ -215,14 +210,7 @@ def load_topology(path) -> Topology:
     are re-derived from node positions; with "edges", positions are optional
     (all nodes or none).
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except (ValueError, RecursionError) as exc:  # also not UTF-8, or nested too deeply
-            raise TopologyError(f"{path}: invalid JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise TopologyError(f"{path}: top-level value must be an object")
-
+    doc = read_object(path, TopologyError)
     nodes = doc.get("nodes")
     if not isinstance(nodes, list) or not nodes:
         raise TopologyError(f"{path}: field 'nodes' must be a non-empty list")

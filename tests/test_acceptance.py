@@ -20,9 +20,11 @@ bands are frozen below.
   the grid's 8 symmetries, with its ci95 asserted to be at most GRID_CI95_TARGET
   before the band is checked. At steady state the worst grid gap is about
   0.07 at K=1 (corners: model 0.640, simulation about 0.57), 0.04 at K=2 and
-  0.035 at K=3, inside the band. On the bundled random topology the model
-  leaves the band: node 45 at K=1 reads model 0.440 against simulation about
-  0.31, so gate 7 fails deliberately rather than being loosened.
+  0.035 at K=3, inside the band. Gate 7 reads the bundled random topology the
+  same way, without symmetries to average over, and asserts a ci95 of at
+  most RANDOM_CI95_TARGET. There the model leaves the band: node 45 at K=1
+  reads model 0.440 against simulation about 0.32, so gate 7 fails
+  deliberately rather than being loosened.
 
 See notes in the repository README ("Validation status") for discussion.
 """
@@ -80,7 +82,10 @@ GRID_CI95_TARGET = 0.0125
 # the grid); within a run the phases are frozen, so runs, not intervals,
 # narrow the estimate
 GRID_STEADY_STATE_PARAMS = TrickleParams(measured_intervals=10, warmup_intervals=10, runs=1200)
-CROSS_VALIDATION_PARAMS = TrickleParams(measured_intervals=50, runs=30)
+# the random topology has no symmetry to average over; at this ci95 its K=1
+# gap of about 0.12 still stands clear of the band
+RANDOM_STEADY_STATE_PARAMS = TrickleParams(measured_intervals=10, warmup_intervals=10, runs=800)
+RANDOM_CI95_TARGET = 0.025
 
 
 def gate(name, ok, detail=""):
@@ -341,23 +346,29 @@ def test_gate7_random_topology_trend_and_band():
     peak = max(variances, key=variances.get)
     trend_ok = all(variances[k] > variances[k + 1] for k in range(peak, 6))
 
-    worst = {}
+    gaps, ci95 = {}, {}
     for k in (1, 2, 3):
-        ka = assign_k(topo, fixed_policy(k))
-        res = run_steady_state(topo, ka, CROSS_VALIDATION_PARAMS)
-        worst[k] = float(np.abs(solutions[k].p_tx - res.mean_p).max())
-    band_ok = all(w <= PER_NODE_BAND for w in worst.values())
+        res = run_steady_state(topo, assign_k(topo, fixed_policy(k)), RANDOM_STEADY_STATE_PARAMS)
+        ci95[k] = float(res.ci95.max())
+        assert ci95[k] <= RANDOM_CI95_TARGET, (
+            f"K={k}: simulated per-node ci95 {ci95[k]:.4f} exceeds {RANDOM_CI95_TARGET}; "
+            "the estimate is too noisy to test the band"
+        )
+        gaps[k] = np.abs(solutions[k].p_tx - res.mean_p)
+    band_ok = all(g.max() <= PER_NODE_BAND for g in gaps.values())
 
     detail = (
         f"mean degree {topo.mean_degree:.4f}; variance by K "
         + " ".join(f"{k}:{variances[k]:.5f}" for k in range(1, 7))
         + f" (peak at K={peak}, monotone decrease to K=6: {trend_ok}); worst per-node gaps "
-        + ", ".join(f"K={k}: {w:.4f}" for k, w in worst.items())
+        + ", ".join(f"K={k}: {g.max():.4f} (node {g.argmax()})" for k, g in gaps.items())
+        + "; simulation ci95 "
+        + ", ".join(f"K={k}: {c:.4f}" for k, c in ci95.items())
     )
     assert density_ok and trend_ok, detail
     assert gate("gate7 random topology trend and band", band_ok, detail), (
         f"{detail}; the variance trend holds but the {PER_NODE_BAND} per-node band fails "
-        "(at steady state the K=1 gap is about 0.125, at node 45; across nodes it "
-        "correlates with the local clustering coefficient, r = 0.44, not with degree, "
+        f"at steady state, with a ci95 within {RANDOM_CI95_TARGET} (across nodes the K=1 "
+        "gap correlates with the local clustering coefficient, r = 0.44, not with degree, "
         "r = -0.06). See the module docstring and README."
     )

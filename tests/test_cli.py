@@ -7,7 +7,17 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tricklefair import Topology, load_topology, save_topology
+from tricklefair import (
+    SolverConfig,
+    Topology,
+    TrickleParams,
+    assign_k,
+    heuristic_policy,
+    load_topology,
+    run_steady_state,
+    save_topology,
+)
+from tricklefair import model
 from tricklefair.cli import bundled_random_topology, main
 
 
@@ -84,7 +94,7 @@ def test_solve_isolated_node_probability_one(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("leaves", [69, 512, 1000])
-def test_solve_star_up_to_degree_cap(tmp_path, leaves):
+def test_solve_large_star(tmp_path, leaves):
     topo = tmp_path / "star.json"
     save_topology(Topology.from_edges(leaves + 1, [(0, i) for i in range(1, leaves + 1)]), topo)
     out = tmp_path / "sol.json"
@@ -108,6 +118,25 @@ def test_solve_rejects_non_numeric_topology_fields(tmp_path, capsys, grid_file, 
     assert run_cli("solve", "--topo", grid_file, "--fixed-k", 1, "-o", out) == 4
     assert "finite number" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_heuristic_policy_sets_per_node_k(tmp_path, grid_file):
+    grid = load_topology(grid_file)
+    sol, sim = tmp_path / "sol.json", tmp_path / "sim.json"
+    assert run_cli("solve", "--topo", grid_file, "--heuristic", "--step", 3, "--offset", 2, "-o", sol) == 0
+    expected = assign_k(grid, heuristic_policy(step=3, offset=2))
+    doc = json.loads(sol.read_text())
+    assert doc["policy"] == expected.policy == {"mode": "heuristic", "step": 3, "offset": 2}
+    assert [rec["k"] for rec in doc["per_node"]] == list(expected.k)
+    assert set(expected.k) == {1, 2}
+
+    # the simulation file has no per-node k: its counts show which K each node ran with
+    assert run_cli("simulate", "--topo", grid_file, "--heuristic", "--runs", 3, "--intervals", 4, "-o", sim) == 0
+    expected = assign_k(grid, heuristic_policy())
+    doc = json.loads(sim.read_text())
+    assert doc["policy"] == expected.policy == {"mode": "heuristic", "step": 3, "offset": 0}
+    result = run_steady_state(grid, expected, TrickleParams(measured_intervals=4, runs=3))
+    assert [rec["counts_per_run"] for rec in doc["per_node"]] == result.counts.T.tolist()
 
 
 def test_simulate_defaults_and_determinism(tmp_path, grid_file):
@@ -146,13 +175,17 @@ def test_compare_pipeline(tmp_path, grid_file, capsys):
     assert rows[0] == ["id", "degree", "k", "p_model", "p_sim", "abs_diff"]
 
 
-def test_compare_rejects_node_count_mismatch(tmp_path, grid_file):
+def test_compare_rejects_node_count_mismatch(tmp_path, grid_file, capsys):
     one = tmp_path / "one.json"
     run_cli("gen", "grid", "--rows", 1, "--cols", 1, "-o", one)
     sol, sim = tmp_path / "sol.json", tmp_path / "sim.json"
     run_cli("solve", "--topo", grid_file, "--fixed-k", 1, "-o", sol)
     run_cli("simulate", "--topo", one, "--fixed-k", 1, "--runs", 2, "-o", sim)
-    assert run_cli("compare", "--model", sol, "--sim", sim, "-o", tmp_path / "c.csv") != 0
+    capsys.readouterr()
+    out = tmp_path / "c.csv"
+    assert run_cli("compare", "--model", sol, "--sim", sim, "-o", out) == 2
+    assert "model has 49 nodes, simulation 1" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(
@@ -206,8 +239,12 @@ def test_gen_grid_with_huge_spacing_writes_true_edges(tmp_path, capsys):
     assert "Warning" not in capsys.readouterr().err
 
 
-# 100,000 levels overflow the JSON decoder's recursion guard
-UNREADABLE_JSON = {"deeply-nested": b"[" * 100_000 + b"]" * 100_000, "not-utf8": b'{"nodes": "\xff"}'}
+# 100,000 levels overflow the JSON decoder's recursion guard; every file must hold an object
+UNREADABLE_JSON = {
+    "deeply-nested": b"[" * 100_000 + b"]" * 100_000,
+    "not-utf8": b'{"nodes": "\xff"}',
+    "top-level-array": b"[]",
+}
 
 
 @pytest.mark.parametrize("content", UNREADABLE_JSON.values(), ids=UNREADABLE_JSON.keys())
@@ -302,6 +339,19 @@ def test_reproduce_random_table_uses_bundled_topology(tmp_path):
     assert run_cli("reproduce", "--table", 2, "--out", out, "--runs", 2, "--intervals", 2) == 0
     topo = load_topology(out / "random49.json")
     assert topo.mean_degree == pytest.approx(3.92, abs=0.01)
+
+
+def test_reproduce_stops_at_the_first_configuration_that_does_not_converge(tmp_path, capsys, monkeypatch):
+    solve = model.solve_fixed_point
+    monkeypatch.setattr(model, "solve_fixed_point", lambda topo, ka: solve(topo, ka, SolverConfig(max_iterations=1)))
+    out = tmp_path / "t1"
+    assert run_cli("reproduce", "--table", 1, "--out", out, "--runs", 2, "--intervals", 2) == 3
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["status"] == "failed"
+    assert manifest["error"] == "configuration k1 did not converge"
+    assert json.loads((out / "model_k1.json").read_text())["converged"] is False
+    assert not (out / "sim_k1.json").exists()
+    assert "error: configuration k1 did not converge" in capsys.readouterr().err
 
 
 def test_reproduce_refuses_nonempty_dir(tmp_path):

@@ -106,6 +106,14 @@ def test_export_surface_needs_positions(tmp_path):
         export_surface(t, [0.5, 0.5], tmp_path / "x.csv")
 
 
+@pytest.mark.parametrize("p", [[0.5] * 48, [[0.5] * 49]])
+def test_export_surface_rejects_wrong_shape(tmp_path, grid, p):
+    path = tmp_path / "x.csv"
+    with pytest.raises(ValueError, match=r"probabilities must have shape \(49,\)"):
+        export_surface(grid, p, path)
+    assert not path.exists()
+
+
 def test_comparison_csv(tmp_path):
     cmp_ = compare([0.1, 0.9], [0.2, 0.8])
     path = tmp_path / "cmp.csv"

@@ -273,6 +273,11 @@ class TestUpdateMap:
         with pytest.raises(ValueError, match="lie in"):
             update_map(two_node, ka, [math.nan, 0.5])
 
+    @pytest.mark.parametrize("p", [[0.5], [0.5, 0.5, 0.5], [[0.5, 0.5]]])
+    def test_rejects_wrong_shape(self, two_node, p):
+        with pytest.raises(ValueError, match=r"current_p must have shape \(2,\)"):
+            update_map(two_node, assign_k(two_node, fixed_policy(1)), p)
+
     def test_batched_map_matches_scalar_oracle(self, grid):
         udg = generate_random_udg(60, 10, 1.8, 2)
         random49 = bundled_random_topology()

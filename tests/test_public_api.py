@@ -1,4 +1,5 @@
 import argparse
+import ast
 import os
 import subprocess
 import sys
@@ -90,6 +91,23 @@ def test_cli_defaults_are_the_library_defaults():
         assert (args.intervals, args.runs, args.seed) == (params.measured_intervals, params.runs, params.base_seed)
     assert sim.warmup == params.warmup_intervals
     assert (solve.tol, solve.max_iter) == (solver.tolerance, solver.max_iterations)
+
+
+def test_runtime_imports_are_stdlib_numpy_or_the_package():
+    # numpy is the only runtime dependency
+    allowed = set(sys.stdlib_module_names) | {"numpy", "tricklefair"}
+    sources = sorted((ROOT / "src" / "tricklefair").rglob("*.py"))
+    assert len(sources) >= 9
+    for path in sources:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:  # relative imports stay in the package
+                names = [node.module]
+            else:
+                continue
+            outside = [name for name in names if name.split(".")[0] not in allowed]
+            assert not outside, f"{path.name}:{node.lineno} imports {outside}"
 
 
 @pytest.mark.parametrize(

@@ -225,6 +225,12 @@ def test_params_validation(two_node):
             run_steady_state(two_node, assign_k(two_node, fixed_policy(k)), TrickleParams(runs=1))
 
 
+def test_k_assignment_length_must_match(two_node):
+    ka = assign_k(Topology.from_edges(3, [(0, 1)]), fixed_policy(1))
+    with pytest.raises(ValueError, match="k_assignment length"):
+        run_steady_state(two_node, ka, TrickleParams(runs=1))
+
+
 def test_result_round_trip(tmp_path, two_node):
     ka = assign_k(two_node, fixed_policy(1))
     res = run_steady_state(two_node, ka, TrickleParams(measured_intervals=5, runs=3, base_seed=8))

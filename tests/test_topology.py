@@ -111,6 +111,22 @@ def test_from_edges_rejects_bad_input():
         Topology.from_edges(0, [])
 
 
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: Topology.from_positions(np.zeros((3, 3)), 1.0), r"positions must be an \(N, 2\) array"),
+        (lambda: Topology.from_positions([0.0, 1.0], 1.0), r"positions must be an \(N, 2\) array"),
+        (lambda: Topology.from_edges(3, [(0, 1)], np.zeros((2, 2))), "got 2 positions for 3 nodes"),
+        (lambda: Topology.from_positions(np.zeros((0, 2)), 1.0), "at least one node"),
+        (lambda: Topology.from_positions([[0.0, 0.0], [math.nan, 1.0]], 1.0), "positions must be finite"),
+    ],
+    ids=["three-columns", "one-dimensional", "count-not-n", "no-nodes", "nan"],
+)
+def test_positions_are_checked(build, message):
+    with pytest.raises(TopologyError, match=message):
+        build()
+
+
 def test_save_load_round_trip_grid(grid, tmp_path):
     path = tmp_path / "grid.json"
     save_topology(grid, path)
@@ -248,6 +264,23 @@ def test_load_rejects_non_integer_edge_endpoints(tmp_path, edge):
     path.write_text(json.dumps(doc))
     with pytest.raises(TopologyError, match="pair of integers"):
         load_topology(path)
+
+
+@pytest.mark.parametrize(
+    "nodes, edges, message",
+    [
+        ([{"id": 0}, {"x": None, "y": None}], [], "every node record needs an 'id' field"),
+        ([{"id": 0}, {"id": 1}], {"0": 1}, "field 'edges' must be a list of"),
+        ([{"id": 0}, {"id": 1}], [[0, 1], [1, 1]], r"edge \[1, 1\] is a self loop"),
+    ],
+    ids=["node-without-id", "edges-not-a-list", "self-loop"],
+)
+def test_load_errors_name_the_file(tmp_path, nodes, edges, message):
+    path = tmp_path / "t.json"
+    path.write_text(json.dumps({"nodes": nodes, "range": None, "edges": edges}))
+    with pytest.raises(TopologyError, match=message) as exc:
+        load_topology(path)
+    assert str(exc.value).startswith(f"{path}: ")
 
 
 def test_range_mode_needs_positions(tmp_path):
