@@ -72,61 +72,94 @@ def _p_first(y: int, k: int) -> float:
 
 
 class _SweepPlan:
-    """Nodes batched by K for the vectorized update map.
+    """Nodes batched by K for the vectorized update map, every index built once.
 
-    p_f holds p_first per node; it does not depend on the iterate. For each
-    distinct K, the nodes with y >= K form one batch, ordered from the
+    p_f holds p_first per node; it does not depend on the iterate. forced
+    marks the nodes with y < K, which map to exactly 1; every K > y acts as
+    K = y + 1, so a K of any size stays out of numpy's fixed-width integers.
+    For each distinct K, the other nodes form one batch, ordered from the
     largest degree to the smallest, ties by node id. Each node owns y // 2 + 1
     consecutive columns, one per point t of its Gauss-Legendre rule on
     [1/2, 1], with weights summing to 1. Step c of the DP takes the c-th
     neighbor of the leading nodes, the ones with y > c, into their leading
-    columns, so every node takes exactly its own y steps over K states. A
-    batch keeps its node ids, K, per step the slice of its neighbor ids and
-    the number of columns it updates, the neighbor ids in step order, each
-    column's node, point and weight, and each node's first column.
+    columns, so every node takes exactly its own y steps over K states.
+
+    - Gather: for every step of every batch, in order, the plan stores the
+      neighbor id and the t of each column the step updates, so a sweep fills
+      x = p[neighbor] * t and keep = 1 - x for all steps in three calls.
+    - Views: each batch owns its DP array w and a buffer for the transitions,
+      and every step's slices of them and of x and keep are made here. A step
+      is then three ufunc calls with out=, or one at K = 1.
+    - Row trimming: before step c at most c neighbors transmitted, so step c
+      updates only the first min(K, c + 2) rows; the rows it skips hold exact
+      zeros, and every cell gets the float operations of the full update.
+
+    The plan holds 32 bytes per (step, column) pair: the neighbor id, t, x
+    and keep. Its buffers make evaluate non-reentrant.
     """
 
     def __init__(self, topology, k_assignment) -> None:
         if len(k_assignment.k) != topology.n:
             raise ValueError("k_assignment length does not match topology")
         lists = topology.neighbor_lists
-        degrees, ks = topology.degrees, np.array(k_assignment.k)
-        self.p_f = np.array([_p_first(y, k) for y, k in zip(degrees.tolist(), k_assignment.k)])
+        degrees = topology.degrees
+        ks = np.array([min(k, y + 1) for y, k in zip(degrees.tolist(), k_assignment.k)], dtype=np.intp)
+        self.p_f = np.array([_p_first(y, k) for y, k in zip(degrees.tolist(), ks.tolist())])
+        self.forced = degrees < ks
+        free = degrees[~self.forced]
+        cells = int(np.sum(free * (free // 2 + 1)))  # (step, column) pairs: y steps of y // 2 + 1 columns
+        self.x = np.empty(cells)  # P(fired earlier and transmitted | t)
+        self.keep = np.empty(cells)
+        gather, col_t = [np.empty(0, dtype=np.intp)], [np.empty(0)]
         self.batches = []
+        offset = 0
         rules: dict[int, tuple[np.ndarray, np.ndarray]] = {}  # Gauss-Legendre rules by size
-        for k in sorted(set(ks[degrees >= ks].tolist())):
-            nodes = np.flatnonzero((ks == k) & (degrees >= k))
-            nodes = nodes[np.argsort(-degrees[nodes], kind="stable")].tolist()  # ties stay by id
-            ys = [len(lists[i]) for i in nodes]
-            sizes = [y // 2 + 1 for y in ys]
-            rules.update((s, leggauss(s)) for s in set(sizes) - rules.keys())
+        for k in sorted(set(ks[~self.forced].tolist())):
+            nodes = np.flatnonzero((ks == k) & ~self.forced)
+            nodes = nodes[np.argsort(-degrees[nodes], kind="stable")]  # ties stay by id
+            ys = degrees[nodes]
+            sizes = ys // 2 + 1
+            rules.update((s, leggauss(s)) for s in set(sizes.tolist()) - rules.keys())
             times = 0.75 + 0.25 * np.concatenate([rules[s][0] for s in sizes])  # [-1, 1] onto [1/2, 1]
             weights = 0.5 * np.concatenate([rules[s][1] for s in sizes])
-            owner = np.repeat(np.arange(len(nodes)), sizes)
-            starts = np.cumsum([0] + sizes)
-            active = [sum(y > c for y in ys) for c in range(ys[0])]
-            neighbors = [lists[i][c] for c, a in enumerate(active) for i in nodes[:a]]
-            ends = np.cumsum(active).tolist()  # step c's neighbor ids end here
-            steps = list(zip([0] + ends[:-1], ends, starts[active].tolist()))
-            self.batches.append((np.array(nodes), k, steps, np.array(neighbors), owner, times, weights, starts[:-1]))
+            starts = np.cumsum([0, *sizes])
+            # w[j, col]: P(exactly j of its node's first c neighbors
+            # transmitted earlier) at the column's t, for j < K
+            w = np.empty((k, len(times)))
+            fired = np.empty((k - 1, len(times)))
+            views = []
+            for c, a in enumerate(np.count_nonzero(ys[:, None] > np.arange(ys[0]), axis=0).tolist()):
+                b = int(starts[a])
+                gather.append(np.repeat([lists[i][c] for i in nodes[:a].tolist()], sizes[:a]))
+                col_t.append(times[:b])
+                x, keep, r = self.x[offset : offset + b], self.keep[offset : offset + b], min(k, c + 2)
+                if k == 1:  # a transmitting neighbor only leaves the state
+                    views.append((w[0, :b], keep))
+                else:
+                    views.append((x, w[: r - 1, :b], fired[: r - 1, :b], w[:r, :b], keep, w[1:r, :b]))
+                offset += b
+            self.batches.append((nodes, w, weights, starts[:-1], views))
+        self.gather = np.concatenate(gather, dtype=np.intp)
+        self.col_t = np.concatenate(col_t)
 
     def evaluate(self, p: np.ndarray) -> np.ndarray:
         """F(p) of every node against the iterate p; 1 where y < K."""
         out = np.ones(len(p))
-        for nodes, k, steps, neighbors, owner, times, weights, starts in self.batches:
-            q = p[neighbors]
-            # w[j, col]: P(exactly j of its node's first c neighbors
-            # transmitted earlier) at the column's t, for j < K
-            w = np.zeros((k, len(times)))
+        np.take(p, self.gather, out=self.x, mode="clip")
+        np.multiply(self.x, self.col_t, out=self.x)
+        np.subtract(1.0, self.x, out=self.keep)
+        multiply, add = np.multiply, np.add
+        for nodes, w, weights, starts, views in self.batches:
+            w.fill(0.0)
             w[0] = 1.0
-            for lo, hi, b in steps:
-                x = q[lo:hi][owner[:b]] * times[:b]  # P(fired earlier and transmitted | t)
-                if k > 1:  # with K = 1 a transmitting neighbor only leaves the state
-                    fired = x * w[:-1, :b]
-                    w[:, :b] *= 1.0 - x
-                    w[1:, :b] += fired
-                else:
-                    w[0, :b] *= 1.0 - x
+            if len(w) == 1:
+                for w_b, keep in views:
+                    multiply(w_b, keep, out=w_b)
+            else:
+                for x, w_lo, fired, w_r, keep, w_hi in views:
+                    multiply(x, w_lo, out=fired)
+                    multiply(w_r, keep, out=w_r)
+                    add(w_hi, fired, out=w_hi)
             out[nodes] = np.add.reduceat(weights * w.sum(axis=0), starts)
         return out
 
@@ -137,8 +170,9 @@ def update_map(topology, k_assignment, current_p, *, plan: _SweepPlan | None = N
     Nodes with fewer neighbors than their redundancy constant map to exactly
     1; all others map to the integral F evaluated against the previous
     iterate. Output is clipped to [0, 1] against rounding. plan holds this
-    topology's nodes batched by K and sorted by degree; solve_fixed_point
-    passes the one it built, and it is built here when omitted.
+    topology's gather indices, DP buffers and their per-step views, built
+    once; solve_fixed_point passes the one it built and calls this function
+    once per sweep, and the plan is built here when omitted.
     """
     p = np.asarray(current_p, dtype=float)
     if p.shape != (topology.n,):
@@ -159,9 +193,7 @@ def solve_fixed_point(topology, k_assignment, config: SolverConfig | None = None
     """
     cfg = config or SolverConfig()
     plan = _SweepPlan(topology, k_assignment)
-    degrees = topology.degrees
-    ks = np.array(k_assignment.k, dtype=int)
-    p = np.where(degrees < ks, 1.0, _INITIAL_P)
+    p = np.where(plan.forced, 1.0, _INITIAL_P)
 
     defect = math.inf
     converged = False

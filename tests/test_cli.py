@@ -1,17 +1,20 @@
+import contextlib
 import csv
+import io
 import json
 import math
 import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from tricklefair import (
     SolverConfig,
     Topology,
     TrickleParams,
     assign_k,
+    generate_grid,
     heuristic_policy,
     load_topology,
     run_steady_state,
@@ -425,3 +428,73 @@ def test_cli_fuzz_exits_with_documented_code(case):
             assert main(["compare", f"--model={topo}", f"--sim={topo}", f"--output={out}"]) == 2
             argv, codes = ["solve", f"--topo={topo}", "--fixed-k=1"], {0, 3, 4}
         assert main([*argv, f"--output={out}"]) in codes
+
+
+# policy and seed values: small, zero, negative and past the int64 range
+_policy_ints = st.sampled_from([0, -1, -(2**63) - 1, 2**63, 2**64 + 1]) | st.integers(-2, 5)
+# run sizes stay tiny, so no example allocates more than a few intervals
+_run_ints = st.sampled_from([-1, 0, 1, 2, 3])
+
+
+@st.composite
+def _policy_argv(draw):
+    """Policy options and whether the library accepts them."""
+    if draw(st.booleans()):
+        k = draw(_policy_ints)
+        return [f"--fixed-k={k}"], k >= 1
+    step, offset = draw(_policy_ints), draw(_policy_ints)
+    return ["--heuristic", f"--step={step}", f"--offset={offset}"], step >= 1 and offset >= 0
+
+
+def _run_main(argv):
+    """main's exit code and stderr; an uncaught exception fails the example."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, err.getvalue()
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from(["solve", "simulate"]), _policy_argv(), _policy_ints, _run_ints, _run_ints, _run_ints)
+def test_cli_fuzz_policy_and_run_arguments(command, policy, seed, runs, intervals, warmup):
+    # a K past int64 solves like any K > y; every rejected value is exit 2
+    policy_argv, valid = policy
+    with tempfile.TemporaryDirectory() as tmp:
+        topo = Path(tmp) / "grid.json"
+        save_topology(generate_grid(3, 3, 1.0, math.sqrt(2.0)), topo)
+        argv = [command, f"--topo={topo}", *policy_argv, f"--output={Path(tmp) / 'out.json'}"]
+        if command == "simulate":
+            argv += [f"--seed={seed}", f"--runs={runs}", f"--intervals={intervals}", f"--warmup={warmup}"]
+            valid = valid and seed >= 0 and runs >= 1 and intervals >= 1 and warmup >= 0
+        code, err = _run_main(argv)
+    assert code == (0 if valid else 2)
+    assert "Traceback" not in err
+    assert err == "" if valid else err.startswith("error: ")
+
+
+@settings(max_examples=7, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from([1, 2, 3]), _policy_ints, _run_ints, _run_ints)
+@example(1, 2**63, 1, 1)  # every table completes once, at a seed past int64
+@example(2, 2**64 + 1, 2, 1)
+@example(3, 0, 3, 2)
+def test_cli_fuzz_reproduce_arguments(table, seed, runs, intervals):
+    valid = seed >= 0 and runs >= 1 and intervals >= 1
+    with tempfile.TemporaryDirectory() as tmp:
+        argv = ["reproduce", f"--table={table}", f"--out={Path(tmp) / 'out'}"]
+        code, err = _run_main([*argv, f"--seed={seed}", f"--runs={runs}", f"--intervals={intervals}"])
+    assert code == (0 if valid else 2)
+    assert "Traceback" not in err
+    assert err == "" if valid else err.startswith("error: ")
+
+
+def test_solve_accepts_k_past_int64(tmp_path, grid_file, capsys):
+    # every K > y acts as K = y + 1 in the model; the files keep the K given
+    huge = 2**63
+    out, out_csv = tmp_path / "sol.json", tmp_path / "sol.csv"
+    assert run_cli("solve", "--topo", grid_file, "--fixed-k", huge, "-o", out, "--csv", out_csv) == 0
+    assert capsys.readouterr().err == ""
+    records = json.loads(out.read_text())["per_node"]
+    assert len(records) == 49
+    assert all(rec["p_tx"] == 1.0 and rec["k"] == huge for rec in records)
+    with open(out_csv, newline="") as fh:
+        assert {row["k"] for row in csv.DictReader(fh)} == {str(huge)}

@@ -18,6 +18,7 @@ from tricklefair import (
     heuristic_policy,
     solve_fixed_point,
 )
+from tricklefair import model
 from tricklefair.cli import bundled_random_topology
 from tricklefair.model import SolverConfig, _SweepPlan, save_solution, update_map
 
@@ -59,6 +60,13 @@ def scalar_update_map(topology, k_assignment, p):
     return out
 
 
+def drawn_k_case():
+    """K drawn apart from degree, which puts many degrees, and K > y, in every K batch."""
+    dense = Topology.from_edges(203, generate_random_udg(200, 8, 1.6, 1).edges)  # 3 isolated nodes
+    drawn = tuple(int(k) for k in np.random.default_rng(5).integers(1, 13, dense.n))
+    return dense, KAssignment(drawn, {"mode": "drawn"})
+
+
 @st.composite
 def small_networks_with_iterate(draw):
     """A small_networks case plus an iterate p."""
@@ -67,23 +75,23 @@ def small_networks_with_iterate(draw):
     return topo, ka, np.array(p)
 
 
-class TestYtPmf:
-    def test_no_neighbors(self):
+class TestDegreeTable:
+    def test_pmf_no_neighbors(self):
         assert degree_table(0)[0].tolist() == [1.0]
 
-    def test_one_neighbor_analytic(self):
+    def test_pmf_one_neighbor_analytic(self):
         # 2 * integral_{1/2}^{1} (1-u) du = 1/4
         assert degree_table(1)[0].tolist() == [0.25, 0.75]
 
-    def test_two_neighbors(self):
+    def test_pmf_two_neighbors(self):
         assert degree_table(2)[0] == pytest.approx([1 / 12, 1 / 3, 7 / 12], abs=1e-15)
 
-    def test_matches_quadrature(self):
+    def test_pmf_matches_quadrature(self):
         # the closed form rounds the integral of the binomial over t once
         for y in range(0, 21):
             assert degree_table(y)[0].tolist() == [float(integral_pmf(y, n)) for n in range(y + 1)]
 
-    def test_sums_to_one_up_to_max_degree(self):
+    def test_pmf_sums_to_one_up_to_max_degree(self):
         for y in range(0, MAX_DEGREE + 1):
             assert abs(degree_table(y)[0].sum() - 1.0) <= 1e-12
 
@@ -93,8 +101,6 @@ class TestYtPmf:
         with pytest.raises(ValueError):
             degree_table(-1)
 
-
-class TestDegreeTable:
     @pytest.mark.parametrize("y", [*range(71), 127, 128, 255, 256, 511, MAX_DEGREE])
     def test_equals_exact_rationals(self, y):
         # the closed form of degree_table's docstring, evaluated in exact arithmetic
@@ -284,10 +290,9 @@ class TestUpdateMap:
         cases = [(grid, assign_k(grid, fixed_policy(k))) for k in range(1, 7)]
         heuristic = assign_k(udg, heuristic_policy(3, 0))
         cases += [(random49, assign_k(random49, fixed_policy(2))), (udg, heuristic)]
-        # K drawn apart from degree puts many degrees, and K > y, in every K batch
-        dense = Topology.from_edges(203, generate_random_udg(200, 8, 1.6, 1).edges)  # 3 isolated nodes
-        drawn = tuple(int(k) for k in np.random.default_rng(5).integers(1, 13, dense.n))
-        cases.append((dense, KAssignment(drawn, {"mode": "drawn"})))
+        dense, drawn_ka = drawn_k_case()
+        cases.append((dense, drawn_ka))
+        drawn = drawn_ka.k
         rng = np.random.default_rng(11)
         low_degree = isolated = 0
         for topo, ka in cases:
@@ -360,6 +365,53 @@ class TestSolveFixedPoint:
     def test_decomposition_consistency(self, grid):
         sol = solve_fixed_point(grid, assign_k(grid, fixed_policy(2)))
         assert sol.p_tx == pytest.approx(sol.p_f + sol.p_lo, abs=1e-8)
+
+    def test_solutions_are_bit_identical_to_the_per_step_gather(self, grid):
+        # sha256 of (iterations, p_tx, p_lo) of every case as solved while each
+        # DP step still gathered its own neighbors, before the plan built the
+        # gather and the step views once
+        udg = generate_random_udg(200, 8.0, 1.6, 1)
+        cases = [(grid, assign_k(grid, fixed_policy(k))) for k in range(1, 7)]
+        cases += [(grid, assign_k(grid, heuristic_policy(step=3, offset=o))) for o in (2, 0)]  # reproduce table 3
+        cases += [(udg, assign_k(udg, fixed_policy(1))), (udg, assign_k(udg, heuristic_policy(3, 0))), drawn_k_case()]
+        digest = hashlib.sha256()
+        for topo, ka in cases:
+            sol = solve_fixed_point(topo, ka)
+            digest.update(str(sol.iterations).encode())
+            digest.update(sol.p_tx.astype("<f8").tobytes())
+            digest.update(sol.p_lo.astype("<f8").tobytes())
+        assert digest.hexdigest() == "19d082d2a331e52b6bf4ae00fede19f46b3514d89eefc98384607f6e87e1c618"
+
+    def test_update_map_is_called_once_per_sweep(self, grid, monkeypatch):
+        # the benchmark's tracer counts sweeps by replacing model.update_map, so
+        # the solver must look it up in the module and call it once per sweep,
+        # plus once for F at the final iterate when it stops unconverged
+        calls = []
+        original = model.update_map
+
+        def counted(*args, **kwargs):
+            calls.append(None)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(model, "update_map", counted)
+        ka = assign_k(grid, fixed_policy(3))
+        sol = solve_fixed_point(grid, ka)
+        assert sol.converged and len(calls) == sol.iterations == 112
+        calls.clear()
+        sol = solve_fixed_point(grid, ka, SolverConfig(max_iterations=4))
+        assert not sol.converged and len(calls) == sol.iterations + 1 == 5
+
+    def test_k_past_int64_solves_as_degree_plus_one(self, grid):
+        # every K > y gives p_first = 1 and a forced node, so K = y + 1 stands
+        # for any of them, past numpy's fixed-width integers too
+        huge = [2**63, 2**64 + 1, 10**30]
+        ks = tuple(huge[i % 3] if i % 2 else 2 for i in range(grid.n))
+        capped = tuple(grid.degree(i) + 1 if i % 2 else 2 for i in range(grid.n))
+        sol = solve_fixed_point(grid, KAssignment(ks, {"mode": "drawn"}))
+        ref = solve_fixed_point(grid, KAssignment(capped, {"mode": "drawn"}))
+        assert sol.converged and sol.iterations == ref.iterations
+        assert sol.p_tx.tobytes() == ref.p_tx.tobytes() and sol.p_lo.tobytes() == ref.p_lo.tobytes()
+        assert np.all(sol.p_tx[1::2] == 1.0)
 
     def test_non_convergence_is_flagged_not_raised(self, grid):
         cfg = SolverConfig(max_iterations=3)
@@ -440,8 +492,9 @@ class TestSolveFixedPoint:
     @settings(max_examples=50, deadline=None, derandomize=True, database=None)
     @given(st.data())
     def test_relabeling_permutes_the_solution(self, data):
-        # K batches order tied degrees by node id; relabeling the nodes must
-        # move the solution with them and change nothing else
+        # K batches order tied degrees by node id, and so do the plan's gather
+        # indices and step views; relabeling the nodes must move the solution
+        # with them and change nothing else
         topo, ka = data.draw(small_networks())
         perm = data.draw(st.permutations(range(topo.n)))
         relabeled = Topology.from_edges(topo.n, [(perm[a], perm[b]) for a, b in topo.edges])
