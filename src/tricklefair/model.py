@@ -12,10 +12,20 @@ transmissions as independent events with probabilities p_j,
 The integrand is a polynomial of degree y in t, so a Gauss-Legendre rule of
 y // 2 + 1 points integrates it exactly up to rounding, at any degree. At
 p = 1, F is p_first, the probability of drawing one of the first K instants,
-which is kept exact. The N equations p = F(p) are solved by fixed-point
-iteration; F falls as any neighbor's p rises, so plain iteration
-oscillates, and every sweep moves p halfway to F(p). The discrete-event
-simulator quantifies the error of the independence approximation.
+which is kept exact.
+
+The N equations p = F(p) are solved by Newton's method on G(p) = F(p) - p.
+F falls as any neighbor's p rises, on dense single-hop networks with a slope
+below -3, where moving p a fixed fraction toward F(p) diverges. The Jacobian
+is exact, one entry per directed edge i <- j,
+
+    dF_i/dp_j = -2 * integral_{1/2}^{1} t * P(S_{-j} = K - 1) dt,
+
+where S_{-j} counts the transmitting earlier neighbors of i other than j; the
+same Gauss rule integrates it exactly. Every step solves (I - J) delta = G by
+restarted GMRES, then halves the step until max|F(p) - p| falls enough. The
+discrete-event simulator quantifies the error of the independence
+approximation.
 """
 from __future__ import annotations
 
@@ -23,20 +33,23 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 from .io import _is_int, write_csv, write_json
 
 _INITIAL_P = 0.5  # starting probability of every node not forced to 1
-_DAMPING = 0.5  # weight of F(p) against p in every sweep
+_SUFFICIENT_DECREASE = 1e-4  # a step of length s must cut the defect by the factor 1 - 1e-4 s
+_MAX_HALVINGS = 20  # shortest trial step: 2**-20 of the Newton step
+_GMRES_RESTART = 30  # Krylov basis size before a restart
+_GMRES_MAX_ITERATIONS = 300  # then the best iterate so far goes to the line search
+_GMRES_RTOL = 1e-2  # GMRES stops once |residual| <= min(1e-2, defect) * |G|
 
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Fixed-point iteration controls: stop below tolerance or after max_iterations sweeps."""
+    """Newton controls: stop once max|F(p) - p| < tolerance, or after max_iterations iterates."""
 
     tolerance: float = 1e-10
-    max_iterations: int = 10000
+    max_iterations: int = 100
 
     def __post_init__(self) -> None:
         # The defect max|F(p) - p| never exceeds 1, so a tolerance of 1 or more
@@ -49,7 +62,14 @@ class SolverConfig:
 
 @dataclass(frozen=True)
 class ModelSolution:
-    """Converged (or flagged) per-node probabilities with solver diagnostics."""
+    """Converged (or flagged) per-node probabilities with solver diagnostics.
+
+    defects holds max|F(p) - p| at every iterate, the start first, so that
+    iterations == len(defects) and residual == defects[-1]. Newton step s
+    rejected halvings[s] trial steps and took gmres_iterations[s] GMRES
+    iterations. A halvings entry past the last step is a line search that
+    found no step that lowered the defect, which ends the solve.
+    """
 
     p_tx: np.ndarray
     p_f: np.ndarray
@@ -57,6 +77,9 @@ class ModelSolution:
     iterations: int
     residual: float
     converged: bool
+    defects: tuple[float, ...]
+    halvings: tuple[int, ...]
+    gmres_iterations: tuple[int, ...]
 
 
 def _p_first(y: int, k: int) -> float:
@@ -71,8 +94,36 @@ def _p_first(y: int, k: int) -> float:
     return sum((k - m) * math.comb(y + 1, m) for m in range(k)) / ((y + 1) << y)
 
 
+def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Ascending nodes and weights of the n-point Gauss-Legendre rule on [-1, 1].
+
+    Newton's method on P_n, evaluated by the three-term recurrence, from the
+    guesses cos(pi (i - 1/4) / (n + 1/2)); once a step moves no node by 1e-10
+    the next would be below rounding, and the weights 2 / ((1 - x^2) P_n'(x)^2)
+    are taken at that x. Symmetrized and scaled to sum to 2. numpy's leggauss
+    starts from eigenvalues instead, which imports numpy.polynomial and
+    initializes LAPACK (1.75 MiB of resident memory together), and its
+    weights integrate t^(2n-1) about 100 times less accurately at n = 500.
+    """
+    x = np.cos(np.pi * (np.arange(n, 0, -1) - 0.25) / (n + 0.5))
+    step = math.inf
+    while True:
+        p_prev, p = np.ones(n), x
+        for m in range(2, n + 1):
+            p_prev, p = p, ((2 * m - 1) * x * p - (m - 1) * p_prev) / m
+        slope = n * (x * p - p_prev) / (x * x - 1.0)  # P_n'(x)
+        if step < 1e-10:
+            break
+        delta = p / slope
+        x = x - delta
+        step = float(np.max(np.abs(delta)))
+    w = 2.0 / ((1.0 - x * x) * slope * slope)
+    w = (w + w[::-1]) / 2
+    return (x - x[::-1]) / 2, w * (2.0 / w.sum())
+
+
 class _SweepPlan:
-    """Nodes batched by K for the vectorized update map, every index built once.
+    """Nodes batched by K for the vectorized update map and its Jacobian, every index built once.
 
     p_f holds p_first per node; it does not depend on the iterate. forced
     marks the nodes with y < K, which map to exactly 1; every K > y acts as
@@ -86,16 +137,28 @@ class _SweepPlan:
 
     - Gather: for every step of every batch, in order, the plan stores the
       neighbor id and the t of each column the step updates, so a sweep fills
-      x = p[neighbor] * t and keep = 1 - x for all steps in three calls.
-    - Views: each batch owns its DP array w and a buffer for the transitions,
-      and every step's slices of them and of x and keep are made here. A step
-      is then three ufunc calls with out=, or one at K = 1.
+      x = p[neighbor] * t for all steps in two calls, and turns the K = 1
+      batch, which comes first, into keep = 1 - x in a third.
+    - Views: each batch owns its DP array w, whose row 0 stays zero below
+      the K states, and a buffer for the differences, and every step's
+      slices of them and of x are made here. A step is then three ufunc calls
+      with out=, w[j] -= x * (w[j] - w[j - 1]), or w *= keep at K = 1.
     - Row trimming: before step c at most c neighbors transmitted, so step c
-      updates only the first min(K, c + 2) rows; the rows it skips hold exact
-      zeros, and every cell gets the float operations of the full update.
+      updates only the first min(K, c + 2) states; the states it skips hold
+      exact zeros.
+    - Jacobian: the edges are the (node, c-th neighbor) pairs of the steps in
+      order, edge_rows and edge_cols. jacobian reruns the DP, copying before
+      step c the min(K, c + 1) states that can be nonzero into a prefix
+      buffer sized for the largest batch, then runs the same steps backward
+      from -w t in place of 1: before backward step c, w holds -w t times
+      P(exactly j of the neighbors after c transmitted), and the sum over m
+      of prefix_c[m] * suffix[K - 1 - m] is the column's term of dF_i/dp_j.
+      At K = 1 the term is the column's whole product divided by step c's
+      keep, which is at least 1 - t > 0, so no prefix is kept. Each step
+      leaves its terms in its cells of x, and one reduceat sums them by edge.
 
-    The plan holds 32 bytes per (step, column) pair: the neighbor id, t, x
-    and keep. Its buffers make evaluate non-reentrant.
+    The plan holds 24 bytes per (step, column) pair: the neighbor id, t and
+    x. Its buffers make evaluate and jacobian non-reentrant.
     """
 
     def __init__(self, topology, k_assignment) -> None:
@@ -109,70 +172,133 @@ class _SweepPlan:
         free = degrees[~self.forced]
         cells = int(np.sum(free * (free // 2 + 1)))  # (step, column) pairs: y steps of y // 2 + 1 columns
         self.x = np.empty(cells)  # P(fired earlier and transmitted | t)
-        self.keep = np.empty(cells)
-        gather, col_t = [np.empty(0, dtype=np.intp)], [np.empty(0)]
-        self.batches = []
-        offset = 0
-        rules: dict[int, tuple[np.ndarray, np.ndarray]] = {}  # Gauss-Legendre rules by size
+        self.jac = np.empty(int(np.sum(free)))  # one entry per edge
+        layouts = []
+        prefix_size = dp_size = 0  # largest over the batches
         for k in sorted(set(ks[~self.forced].tolist())):
             nodes = np.flatnonzero((ks == k) & ~self.forced)
             nodes = nodes[np.argsort(-degrees[nodes], kind="stable")]  # ties stay by id
             ys = degrees[nodes]
-            sizes = ys // 2 + 1
-            rules.update((s, leggauss(s)) for s in set(sizes.tolist()) - rules.keys())
+            starts = np.cumsum([0, *(ys // 2 + 1)])
+            active = np.count_nonzero(ys[:, None] > np.arange(ys[0]), axis=0)  # nodes that take step c
+            layouts.append((k, nodes, ys, starts, active))
+            dp_size = max(dp_size, (k + 1) * int(starts[-1]))
+            if k > 1:  # min(K, c + 1) prefix rows of the columns of every step c
+                prefix_size = max(prefix_size, int(np.minimum(k, np.arange(1, ys[0] + 1)) @ starts[active]))
+        # one prefix buffer, DP array and difference buffer, shared by the batches
+        prefix, dp, diffs = np.empty(prefix_size), np.empty(dp_size), np.empty(dp_size)
+        self.keep = self.x[:0]  # the cells of the K = 1 batch, which comes first, hold keep = 1 - x
+        self.gather = np.empty(cells, dtype=np.intp)
+        self.col_t = np.empty(cells)
+        edge_rows, edge_cols, edge_starts = ([np.empty(0, dtype=np.intp)] for _ in range(3))
+        self.batches = []
+        offset = 0
+        rules: dict[int, tuple[np.ndarray, np.ndarray]] = {}  # Gauss-Legendre rules by size
+        for k, nodes, ys, starts, active in layouts:
+            sizes = np.diff(starts)
+            rules.update((s, _gauss_legendre(s)) for s in set(sizes.tolist()) - rules.keys())
             times = 0.75 + 0.25 * np.concatenate([rules[s][0] for s in sizes])  # [-1, 1] onto [1/2, 1]
             weights = 0.5 * np.concatenate([rules[s][1] for s in sizes])
-            starts = np.cumsum([0, *sizes])
-            # w[j, col]: P(exactly j of its node's first c neighbors
+            # w[1 + j, col]: P(exactly j of its node's first c neighbors
             # transmitted earlier) at the column's t, for j < K
-            w = np.empty((k, len(times)))
-            fired = np.empty((k - 1, len(times)))
-            views = []
-            for c, a in enumerate(np.count_nonzero(ys[:, None] > np.arange(ys[0]), axis=0).tolist()):
+            w = dp[: (k + 1) * len(times)].reshape(k + 1, len(times))
+            diff = diffs[: k * len(times)].reshape(k, len(times))
+            views, steps = [], []
+            used = 0  # of the prefix buffer
+            for c, a in enumerate(active.tolist()):
                 b = int(starts[a])
-                gather.append(np.repeat([lists[i][c] for i in nodes[:a].tolist()], sizes[:a]))
-                col_t.append(times[:b])
-                x, keep, r = self.x[offset : offset + b], self.keep[offset : offset + b], min(k, c + 2)
-                if k == 1:  # a transmitting neighbor only leaves the state
-                    views.append((w[0, :b], keep))
+                neighbors = [lists[i][c] for i in nodes[:a].tolist()]
+                self.gather[offset : offset + b] = np.repeat(neighbors, sizes[:a])
+                self.col_t[offset : offset + b] = times[:b]
+                edge_rows.append(nodes[:a])
+                edge_cols.append(np.array(neighbors, dtype=np.intp))
+                edge_starts.append(offset + starts[:a])
+                x, r = self.x[offset : offset + b], min(k, c + 2)
+                if k == 1:  # a transmitting neighbor only leaves the state; x holds keep
+                    views.append((w[1, :b], x))
                 else:
-                    views.append((x, w[: r - 1, :b], fired[: r - 1, :b], w[:r, :b], keep, w[1:r, :b]))
+                    views.append((w[1 : r + 1, :b], w[:r, :b], diff[:r, :b], x))
+                    # the suffix after backward step c spans at most ys[0] - c neighbors
+                    rp, rs = min(k, c + 1), min(k, ys[0] - c + 1)
+                    backward = views[-1] if rs == r else (w[1 : rs + 1, :b], w[:rs, :b], diff[:rs, :b], x)
+                    pref = prefix[used : used + rp * b].reshape(rp, b)
+                    steps.append((w[1 : rp + 1, :b], pref, w[k + 1 - rp :, :b][::-1], backward))
+                    used += rp * b
                 offset += b
-            self.batches.append((nodes, w, weights, starts[:-1], views))
-        self.gather = np.concatenate(gather, dtype=np.intp)
-        self.col_t = np.concatenate(col_t)
+            self.batches.append((nodes, w, weights, -weights * times, starts[:-1], views, steps))
+            if k == 1:
+                self.keep = self.x[:offset]
+        self.edge_rows = np.concatenate(edge_rows)
+        self.edge_cols = np.concatenate(edge_cols)
+        self.edge_starts = np.concatenate(edge_starts)  # first cell of every edge
+
+    def _fill(self, p: np.ndarray) -> None:
+        np.take(p, self.gather, out=self.x, mode="clip")
+        np.multiply(self.x, self.col_t, out=self.x)
+        np.subtract(1.0, self.keep, out=self.keep)
 
     def evaluate(self, p: np.ndarray) -> np.ndarray:
         """F(p) of every node against the iterate p; 1 where y < K."""
         out = np.ones(len(p))
-        np.take(p, self.gather, out=self.x, mode="clip")
-        np.multiply(self.x, self.col_t, out=self.x)
-        np.subtract(1.0, self.x, out=self.keep)
-        multiply, add = np.multiply, np.add
-        for nodes, w, weights, starts, views in self.batches:
+        self._fill(p)
+        multiply, subtract = np.multiply, np.subtract
+        for nodes, w, weights, _, starts, views, _ in self.batches:
             w.fill(0.0)
-            w[0] = 1.0
-            if len(w) == 1:
+            w[1] = 1.0
+            if len(w) == 2:
                 for w_b, keep in views:
                     multiply(w_b, keep, out=w_b)
             else:
-                for x, w_lo, fired, w_r, keep, w_hi in views:
-                    multiply(x, w_lo, out=fired)
-                    multiply(w_r, keep, out=w_r)
-                    add(w_hi, fired, out=w_hi)
+                for w_r, w_below, diff, x in views:
+                    subtract(w_r, w_below, out=diff)
+                    multiply(diff, x, out=diff)
+                    subtract(w_r, diff, out=w_r)
             out[nodes] = np.add.reduceat(weights * w.sum(axis=0), starts)
         return out
 
+    def jacobian(self, p: np.ndarray) -> np.ndarray:
+        """dF_i/dp_j at the iterate p for every edge (edge_rows[e], edge_cols[e]).
+
+        Returns the plan's own buffer, which the next call overwrites; x is
+        left holding the per-cell terms.
+        """
+        self._fill(p)
+        multiply, subtract = np.multiply, np.subtract
+        for _, w, _, neg_wt, _, views, steps in self.batches:
+            w.fill(0.0)
+            if len(w) == 2:
+                w[1] = neg_wt
+                for w_b, keep in views:
+                    multiply(w_b, keep, out=w_b)
+                for w_b, keep in views:
+                    np.divide(w_b, keep, out=keep)
+                continue
+            w[1] = 1.0
+            for (w_r, w_below, diff, x), (w_p, pref, _, _) in zip(views, steps):
+                np.copyto(pref, w_p)
+                subtract(w_r, w_below, out=diff)
+                multiply(diff, x, out=diff)
+                subtract(w_r, diff, out=w_r)
+            w.fill(0.0)
+            w[1] = neg_wt
+            for _, pref, suffix, (w_r, w_below, diff, x) in reversed(steps):
+                multiply(pref, suffix, out=pref)
+                subtract(w_r, w_below, out=diff)
+                multiply(diff, x, out=diff)
+                subtract(w_r, diff, out=w_r)
+                np.add.reduce(pref, axis=0, out=x)
+        return np.add.reduceat(self.x, self.edge_starts, out=self.jac)
+
 
 def update_map(topology, k_assignment, current_p, *, plan: _SweepPlan | None = None) -> np.ndarray:
-    """One Jacobi sweep of the coupled probability equations.
+    """F evaluated against the iterate: one Jacobi sweep of the coupled probability equations.
 
     Nodes with fewer neighbors than their redundancy constant map to exactly
-    1; all others map to the integral F evaluated against the previous
-    iterate. Output is clipped to [0, 1] against rounding. plan holds this
-    topology's gather indices, DP buffers and their per-step views, built
-    once; solve_fixed_point passes the one it built and calls this function
-    once per sweep, and the plan is built here when omitted.
+    1; all others map to the integral F evaluated against current_p. Output
+    is clipped to [0, 1] against rounding. plan holds this topology's gather
+    indices, DP buffers and their per-step views, built once;
+    solve_fixed_point passes the one it built and calls this function once
+    per evaluation of F, and the plan is built here when omitted.
     """
     p = np.asarray(current_p, dtype=float)
     if p.shape != (topology.n,):
@@ -184,38 +310,113 @@ def update_map(topology, k_assignment, current_p, *, plan: _SweepPlan | None = N
     return np.clip(plan.evaluate(p), 0.0, 1.0)
 
 
-def solve_fixed_point(topology, k_assignment, config: SolverConfig | None = None) -> ModelSolution:
-    """Solve the N-equation system by damped fixed-point iteration.
+def _gmres(apply, b: np.ndarray, rtol: float) -> tuple[np.ndarray, int]:
+    """x with |b - apply(x)| <= rtol |b| by GMRES, and the iterations it took.
 
-    Stops when the fixed-point defect max|F(p) - p| drops below the
-    tolerance. Non-convergence is reported through the `converged` flag, not
-    raised.
+    Arnoldi runs classical Gram-Schmidt twice; Givens rotations keep the
+    Hessenberg matrix triangular as it grows, so the residual norm is known at
+    every iteration and the small least-squares problem ends in one back
+    substitution. The basis restarts every _GMRES_RESTART iterations, and the
+    solve stops after _GMRES_MAX_ITERATIONS with its best iterate.
+    """
+    x = np.zeros(len(b))
+    target = rtol * math.sqrt(b @ b)
+    r = b
+    iterations = 0
+    while iterations < _GMRES_MAX_ITERATIONS:
+        beta = math.sqrt(r @ r)
+        if beta <= target:
+            break
+        basis = np.empty((_GMRES_RESTART + 1, len(b)))
+        basis[0] = r / beta
+        columns: list[list[float]] = []  # of the rotated Hessenberg matrix, upper triangular
+        cos: list[float] = []
+        sin: list[float] = []
+        g = [beta]  # the rotated right-hand side; |g[-1]| is the residual norm
+        for j in range(min(_GMRES_RESTART, _GMRES_MAX_ITERATIONS - iterations)):
+            v = apply(basis[j])
+            done = basis[: j + 1]
+            h = done @ v
+            v -= h @ done
+            again = done @ v
+            v -= again @ done
+            h = (h + again).tolist()
+            norm = math.sqrt(v @ v)
+            for i in range(j):
+                h[i], h[i + 1] = cos[i] * h[i] + sin[i] * h[i + 1], cos[i] * h[i + 1] - sin[i] * h[i]
+            diagonal = math.hypot(h[j], norm)
+            if diagonal == 0.0:  # apply is singular on the basis: keep what it solved
+                break
+            cos.append(h[j] / diagonal)
+            sin.append(norm / diagonal)
+            h[j] = diagonal
+            columns.append(h)
+            g.append(-sin[j] * g[j])
+            g[j] *= cos[j]
+            iterations += 1
+            if abs(g[j + 1]) <= target:  # also when norm == 0: the basis spans the solution
+                break
+            basis[j + 1] = v / norm
+        y = [0.0] * len(columns)
+        for i in reversed(range(len(columns))):
+            y[i] = (g[i] - sum(columns[m][i] * y[m] for m in range(i + 1, len(columns)))) / columns[i][i]
+        x += np.array(y) @ basis[: len(columns)]
+        if not columns:
+            break
+        r = b - apply(x)
+    return x, iterations
+
+
+def solve_fixed_point(topology, k_assignment, config: SolverConfig | None = None) -> ModelSolution:
+    """Solve the N-equation system p = F(p) by Newton's method with a line search.
+
+    Each step solves (I - J) delta = F(p) - p with the exact Jacobian J,
+    then tries p + s delta clipped to [0, 1] for s = 1, 1/2, ... until the
+    defect max|F - p| falls below (1 - 1e-4 s) times its current value.
+    Stops when the defect drops below the tolerance. Non-convergence is
+    reported through the `converged` flag, not raised.
     """
     cfg = config or SolverConfig()
     plan = _SweepPlan(topology, k_assignment)
+    rows, cols = plan.edge_rows, plan.edge_cols
     p = np.where(plan.forced, 1.0, _INITIAL_P)
-
-    defect = math.inf
-    converged = False
-    iterations = 0
-    for iterations in range(1, cfg.max_iterations + 1):
-        f = update_map(topology, k_assignment, p, plan=plan)
-        defect = float(np.max(np.abs(f - p)))
-        if defect < cfg.tolerance:
-            converged = True
+    f = update_map(topology, k_assignment, p, plan=plan)
+    defects = [float(np.max(np.abs(f - p)))]
+    halvings: list[int] = []
+    krylov: list[int] = []
+    while defects[-1] >= cfg.tolerance and len(defects) < cfg.max_iterations:
+        jac = plan.jacobian(p)
+        delta, its = _gmres(
+            lambda v: v - np.bincount(rows, weights=jac * v[cols], minlength=len(v)),
+            f - p,
+            min(_GMRES_RTOL, defects[-1]),
+        )
+        krylov.append(its)
+        for halved in range(_MAX_HALVINGS + 1):
+            step = 0.5**halved
+            trial = np.clip(p + step * delta, 0.0, 1.0)
+            f_trial = update_map(topology, k_assignment, trial, plan=plan)
+            defect = float(np.max(np.abs(f_trial - trial)))
+            if defect < (1.0 - _SUFFICIENT_DECREASE * step) * defects[-1]:
+                break
+        else:
+            halvings.append(_MAX_HALVINGS + 1)
             break
-        p = p + _DAMPING * (f - p)
+        halvings.append(halved)
+        p, f = trial, f_trial
+        defects.append(defect)
 
-    if not converged:
-        f = update_map(topology, k_assignment, p, plan=plan)
     # f = F(p) = p_f + p_lo at the final p; p_f does not depend on p.
     return ModelSolution(
         p_tx=p,
         p_f=plan.p_f,
         p_lo=f - plan.p_f,
-        iterations=iterations,
-        residual=defect,
-        converged=converged,
+        iterations=len(defects),
+        residual=defects[-1],
+        converged=defects[-1] < cfg.tolerance,
+        defects=tuple(defects),
+        halvings=tuple(halvings),
+        gmres_iterations=tuple(krylov),
     )
 
 
@@ -226,6 +427,11 @@ def save_solution(path, topology, k_assignment, solution: ModelSolution, extra: 
         "iterations": int(solution.iterations),
         "residual": float(solution.residual),
         "policy": k_assignment.policy,
+        "solver": {
+            "defects": list(solution.defects),
+            "halvings": list(solution.halvings),
+            "gmres_iterations": list(solution.gmres_iterations),
+        },
         "per_node": [
             {
                 "id": i,

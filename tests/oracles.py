@@ -4,9 +4,11 @@ The model integrates over a node's firing instant with a Gauss-Legendre rule
 for every node of a K batch at once; these are one-node-at-a-time versions
 derived another way, written for clarity rather than speed: an exact
 per-degree table of the earlier-instant count and a DP over the subsets of
-neighbors that fired earlier. The simulator and the unit-disk edge search
-have references here too: one generator and one sorted event tuple at a
-time, and one node against all later nodes at a time.
+neighbors that fired earlier. The damped fixed-point rule that the Newton
+solver replaced, and bisection of a clique's symmetric equation, give
+reference solutions. The simulator and the unit-disk edge search have
+references here too: one generator and one sorted event tuple at a time,
+and one node against all later nodes at a time.
 """
 import itertools
 import math
@@ -15,6 +17,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from tricklefair.model import _SweepPlan, update_map
 from tricklefair.simulator import CI95_Z
 from tricklefair.topology import RANGE_SLACK
 
@@ -179,6 +182,52 @@ def star_hub_k1(y: int, q: float) -> float:
     The closed form of 2 * int_{1/2}^{1} (1 - t q)^y dt.
     """
     return 2 * ((1 - q / 2) ** (y + 1) - (1 - q) ** (y + 1)) / (q * (y + 1))
+
+
+def damped_fixed_point(topology, k_assignment, tolerance: float, max_sweeps: int = 100_000, start=None):
+    """p with max|F(p) - p| < tolerance by moving p halfway to F(p) on every sweep, and the sweeps taken.
+
+    The solver's rule before Newton's method. A damped sweep multiplies the
+    error along a Jacobian eigenvector of slope s by (1 + s) / 2, so it
+    converges while every slope lies in (-3, 1). Starts at 0.5, or at start,
+    with forced nodes at 1; raises when max_sweeps pass without convergence.
+    """
+    plan = _SweepPlan(topology, k_assignment)
+    p = np.where(plan.forced, 1.0, 0.5) if start is None else np.asarray(start, dtype=float)
+    for sweeps in range(1, max_sweeps + 1):
+        f = update_map(topology, k_assignment, p, plan=plan)
+        if np.max(np.abs(f - p)) < tolerance:
+            return p, sweeps
+        p = p + 0.5 * (f - p)
+    raise RuntimeError(f"no convergence in {max_sweeps} damped sweeps")
+
+
+def symmetric_update(y: int, k: int, p: float) -> float:
+    """F of a node whose y neighbors all transmit with probability p.
+
+    Conditions on the count n of earlier neighbors through degree_table's
+    exact pmf, and sums the binomial P(fewer than k of n transmit) term by
+    term; no quadrature.
+    """
+    pmf = degree_table(y)[0]
+    below_k = [sum(math.comb(n, j) * p**j * (1 - p) ** (n - j) for j in range(min(k, n + 1))) for n in range(y + 1)]
+    return float(pmf @ below_k)
+
+
+def clique_root(n: int, k: int) -> float:
+    """The symmetric fixed point p = F(p) of the n-node clique, by bisection to adjacent floats.
+
+    F falls as p rises, so F(p) - p has exactly one root in [0, 1].
+    """
+    lo, hi = 0.0, 1.0
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            return mid
+        if symmetric_update(n - 1, k, mid) > mid:
+            lo = mid
+        else:
+            hi = mid
 
 
 def estimate_probabilities(result):

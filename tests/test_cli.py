@@ -72,6 +72,26 @@ def test_solve_writes_solution_and_report(tmp_path, grid_file, capsys):
     assert doc["manifest"]["topology"]["sha256"]
 
 
+def test_solve_records_what_the_solver_did(tmp_path, grid_file, capsys):
+    out = tmp_path / "sol.json"
+    assert run_cli("solve", "--topo", grid_file, "--fixed-k", 1, "-o", out) == 0
+    doc = json.loads(out.read_text())
+    solver = doc["solver"]
+    assert len(solver["defects"]) == doc["iterations"] and solver["defects"][-1] == doc["residual"]
+    assert len(solver["halvings"]) == len(solver["gmres_iterations"]) == doc["iterations"] - 1
+    assert f"iterations={doc['iterations']} " in capsys.readouterr().out
+
+
+def test_solve_single_hop_clique(tmp_path, capsys):
+    # 60 nodes in a 1 x 1 square with range 10 form a clique; the damped rule
+    # that preceded Newton's method diverged here and exited 3
+    topo, out = tmp_path / "clique.json", tmp_path / "sol.json"
+    assert run_cli("gen", "random", "--n", 60, "--side", 1, "--range", 10, "-o", topo) == 0
+    assert load_topology(topo).num_edges == 60 * 59 // 2
+    assert run_cli("solve", "--topo", topo, "--fixed-k", 2, "-o", out) == 0
+    assert "converged=True" in capsys.readouterr().out
+
+
 def test_solve_nonconvergence_exit_code(tmp_path, grid_file):
     out = tmp_path / "sol.json"
     code = run_cli("solve", "--topo", grid_file, "--fixed-k", 1, "--max-iter", 2, "-o", out)

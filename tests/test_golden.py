@@ -18,7 +18,7 @@ GOLDEN_SHA256 = {
     "grid.json": "4ccf258f54b8d22681166ede9a58bb0d0334c2b16feecf5546b8f3282ba8fe4c",
     "sim.json": "ef429feb9d07b85e048741dfea4173d059fa50d9dd4523feeb2c66270f1fc157",
     "sim.csv": "d0c72b4322b9e186847fd81773a266ed861d401896040d1ba5f2bc34e091f5c2",
-    "sol.json": "a93498a0d8787f8c393c33637d47d677aaabe26e8fd015157d94e9573c733189",
+    "sol.json": "ce15b01e878c68727eed68036ce9eedc7b00490280f0287a080ca0f7273a53c8",
     "sol.csv": "683b1f2f20ac1f9b6af21496fef974e2c06fa0c36a495b147c54b499487d302e",
     "cmp.csv": "563420df1a1fc5183e8cf17dd3a089d8ca2cfa52938863dbdc7a153a61c7f4e4",
     "surface.csv": "c80ca8e493866e6c7f7ca7024ba8ff953ad056e8e66f75d5b29978b8e1d842be",

@@ -14,6 +14,7 @@ from tricklefair import (
     assign_k,
     fairness,
     fixed_policy,
+    generate_grid,
     generate_random_udg,
     heuristic_policy,
     solve_fixed_point,
@@ -24,6 +25,8 @@ from tricklefair.model import SolverConfig, _SweepPlan, save_solution, update_ma
 
 from oracles import (
     MAX_DEGREE,
+    clique_root,
+    damped_fixed_point,
     degree_table,
     gamma_exact,
     integral_pmf,
@@ -34,12 +37,6 @@ from oracles import (
 )
 from strategies import small_networks
 from test_acceptance import grid_symmetries
-
-# The property test's solves stop after 1000 sweeps, not the default 10000:
-# the slowest of 600 seeded small networks takes 143, and a diverging
-# example then fails in seconds instead of minutes of shrinking.
-_PROPERTY_SOLVER = SolverConfig(max_iterations=1000)
-
 
 def brute_subset_average(probs, n, k):
     """Independent oracle: explicit enumeration over all n-subsets."""
@@ -65,6 +62,20 @@ def drawn_k_case():
     dense = Topology.from_edges(203, generate_random_udg(200, 8, 1.6, 1).edges)  # 3 isolated nodes
     drawn = tuple(int(k) for k in np.random.default_rng(5).integers(1, 13, dense.n))
     return dense, KAssignment(drawn, {"mode": "drawn"})
+
+
+def complete_graph(n):
+    return Topology.from_edges(n, list(itertools.combinations(range(n), 2)))
+
+
+def named_topology(name, grid):
+    if name == "grid":
+        return grid
+    if name == "random49":
+        return bundled_random_topology()
+    if name == "udg200":
+        return generate_random_udg(200, 8.0, 1.6, 1)
+    return generate_random_udg(2000, 44.7, 1.22, 7)
 
 
 @st.composite
@@ -342,7 +353,7 @@ class TestSolveFixedPoint:
         assert sol.residual <= 1e-10
 
     def test_complete_graph_symmetry(self):
-        t = Topology.from_edges(5, list(itertools.combinations(range(5), 2)))
+        t = complete_graph(5)
         sol = solve_fixed_point(t, assign_k(t, fixed_policy(2)))
         assert sol.converged
         assert np.ptp(sol.p_tx) <= 1e-9
@@ -366,10 +377,10 @@ class TestSolveFixedPoint:
         sol = solve_fixed_point(grid, assign_k(grid, fixed_policy(2)))
         assert sol.p_tx == pytest.approx(sol.p_f + sol.p_lo, abs=1e-8)
 
-    def test_solutions_are_bit_identical_to_the_per_step_gather(self, grid):
-        # sha256 of (iterations, p_tx, p_lo) of every case as solved while each
-        # DP step still gathered its own neighbors, before the plan built the
-        # gather and the step views once
+    def test_newton_solutions_are_pinned_bit_for_bit(self, grid):
+        # sha256 of (iterations, p_tx, p_lo) of every case as first solved by
+        # Newton's method on the exact edge Jacobian; any change to the DP, the
+        # Jacobian, GMRES or the line search moves it
         udg = generate_random_udg(200, 8.0, 1.6, 1)
         cases = [(grid, assign_k(grid, fixed_policy(k))) for k in range(1, 7)]
         cases += [(grid, assign_k(grid, heuristic_policy(step=3, offset=o))) for o in (2, 0)]  # reproduce table 3
@@ -380,12 +391,12 @@ class TestSolveFixedPoint:
             digest.update(str(sol.iterations).encode())
             digest.update(sol.p_tx.astype("<f8").tobytes())
             digest.update(sol.p_lo.astype("<f8").tobytes())
-        assert digest.hexdigest() == "19d082d2a331e52b6bf4ae00fede19f46b3514d89eefc98384607f6e87e1c618"
+        assert digest.hexdigest() == "229abdc5efcb9bfa947384a90645d9fbfdd3efb725f5b95d59d2b971ef3272f2"
 
-    def test_update_map_is_called_once_per_sweep(self, grid, monkeypatch):
-        # the benchmark's tracer counts sweeps by replacing model.update_map, so
-        # the solver must look it up in the module and call it once per sweep,
-        # plus once for F at the final iterate when it stops unconverged
+    def test_update_map_is_called_once_per_f_evaluation(self, grid, monkeypatch):
+        # the benchmark's tracer counts evaluations of F by replacing
+        # model.update_map, so the solver must look it up in the module and call
+        # it once at the start and once per trial step of every line search
         calls = []
         original = model.update_map
 
@@ -396,10 +407,13 @@ class TestSolveFixedPoint:
         monkeypatch.setattr(model, "update_map", counted)
         ka = assign_k(grid, fixed_policy(3))
         sol = solve_fixed_point(grid, ka)
-        assert sol.converged and len(calls) == sol.iterations == 112
+        assert sol.converged and sol.iterations == 5
+        assert len(calls) == sol.iterations + sum(sol.halvings)
         calls.clear()
-        sol = solve_fixed_point(grid, ka, SolverConfig(max_iterations=4))
-        assert not sol.converged and len(calls) == sol.iterations + 1 == 5
+        clique = complete_graph(40)
+        sol = solve_fixed_point(clique, assign_k(clique, fixed_policy(1)), SolverConfig(max_iterations=4))
+        assert not sol.converged and sol.iterations == 4 and sum(sol.halvings) > 0
+        assert len(calls) == sol.iterations + sum(sol.halvings)
 
     def test_k_past_int64_solves_as_degree_plus_one(self, grid):
         # every K > y gives p_first = 1 and a forced node, so K = y + 1 stands
@@ -430,15 +444,17 @@ class TestSolveFixedPoint:
             name: [solve_fixed_point(topo, assign_k(topo, fixed_policy(k))).iterations for k in range(1, 7)]
             for name, topo in (("grid", grid), ("random49", random49))
         }
+        # Newton iterates, the start included; the damped rule took
+        # 174/132/112/100/86/71 and 283/152/106/79/60/51 sweeps
         assert counts == {
-            "grid": [174, 132, 112, 100, 86, 71],
-            "random49": [283, 152, 106, 79, 60, 51],
+            "grid": [8, 6, 5, 5, 5, 5],
+            "random49": [7, 5, 5, 5, 5, 5],
         }
 
     def test_triangle_converges_in_few_sweeps(self):
         # On the symmetric triangle at K=1, F(p) = 1/12 + (1 - p)/3 + (7/12)(1 - p)^2
         # has slope -0.979 at its fixed point 0.4465: an undamped sweep barely
-        # contracts the error, the averaged sweep shrinks it about 100-fold.
+        # contracts the error, and Newton's method converges quadratically.
         t = Topology.from_edges(3, [(0, 1), (1, 2), (0, 2)])
         sol = solve_fixed_point(t, assign_k(t, fixed_policy(1)))
         assert sol.converged
@@ -459,15 +475,9 @@ class TestSolveFixedPoint:
         topo = grid if topology == "grid" else bundled_random_topology()
         ka = assign_k(topo, fixed_policy(k))
         expected = solve_fixed_point(topo, ka).p_tx
-        plan = _SweepPlan(topo, ka)
         rng = np.random.default_rng(k)
         for start in range(6):
-            p = rng.uniform(0.0, 1.0, topo.n)
-            for _ in range(5000):
-                f = update_map(topo, ka, p, plan=plan)
-                if np.max(np.abs(f - p)) < 1e-12:
-                    break
-                p = p + 0.5 * (f - p)
+            p, _ = damped_fixed_point(topo, ka, 1e-12, 5000, start=rng.uniform(0.0, 1.0, topo.n))
             assert np.max(np.abs(p - expected)) <= 1e-9, f"start {start}"
 
     @settings(max_examples=50, deadline=None, derandomize=True, database=None)
@@ -476,7 +486,7 @@ class TestSolveFixedPoint:
         (t1, ka1), (t2, ka2) = first, second
         sols = []
         for topo, ka in (first, second):
-            sol = solve_fixed_point(topo, ka, _PROPERTY_SOLVER)
+            sol = solve_fixed_point(topo, ka)
             assert sol.converged
             assert np.all((sol.p_tx >= 0.0) & (sol.p_tx <= 1.0))
             assert np.all(sol.p_tx[topo.degrees < np.array(ka.k)] == 1.0)
@@ -485,7 +495,7 @@ class TestSolveFixedPoint:
         # the disjoint union decouples into the two systems
         shifted = [(a + t1.n, b + t1.n) for a, b in t2.edges]
         union = Topology.from_edges(t1.n + t2.n, t1.edges + shifted)
-        joint = solve_fixed_point(union, KAssignment(ka1.k + ka2.k, {"mode": "drawn"}), _PROPERTY_SOLVER)
+        joint = solve_fixed_point(union, KAssignment(ka1.k + ka2.k, {"mode": "drawn"}))
         assert joint.converged
         assert np.max(np.abs(joint.p_tx - np.concatenate([s.p_tx for s in sols]))) <= 1e-9
 
@@ -501,10 +511,118 @@ class TestSolveFixedPoint:
         ks = [0] * topo.n
         for i, k in enumerate(ka.k):
             ks[perm[i]] = k
-        sol = solve_fixed_point(topo, ka, _PROPERTY_SOLVER)
-        moved = solve_fixed_point(relabeled, KAssignment(tuple(ks), ka.policy), _PROPERTY_SOLVER)
+        sol = solve_fixed_point(topo, ka)
+        moved = solve_fixed_point(relabeled, KAssignment(tuple(ks), ka.policy))
         assert moved.iterations == sol.iterations
         assert np.max(np.abs(moved.p_tx[list(perm)] - sol.p_tx)) <= 1e-12
+
+
+class TestNewton:
+    @pytest.mark.parametrize(
+        "name, policy",
+        [
+            *(("grid", fixed_policy(k)) for k in range(1, 7)),
+            ("grid", heuristic_policy(3, 2)),
+            ("grid", heuristic_policy(3, 0)),
+            *(("random49", fixed_policy(k)) for k in range(1, 7)),
+            ("udg200", fixed_policy(1)),
+            ("udg200", heuristic_policy(3, 0)),
+            ("udg2000", fixed_policy(1)),
+        ],
+    )
+    def test_matches_the_damped_rule(self, grid, name, policy):
+        # the damped rule runs to 1e-13: at the default tolerance its own
+        # udg2000 K=1 answer lies 1.7e-9 from the root
+        topo = named_topology(name, grid)
+        ka = assign_k(topo, policy)
+        sol = solve_fixed_point(topo, ka)
+        reference, _ = damped_fixed_point(topo, ka, 1e-13)
+        assert sol.converged
+        assert np.max(np.abs(sol.p_tx - reference)) <= 1e-9
+
+    def test_edge_jacobian_matches_central_differences(self):
+        # F is affine in each p_j, so central differences of the scalar oracle
+        # are exact up to rounding; the cases must cover isolated nodes, forced
+        # nodes that are some free node's neighbor, and K > 2, whose first
+        # steps trim rows and keep fewer than K prefix rows
+        h = 1e-6
+        seen = set()
+
+        @settings(max_examples=50, deadline=None, derandomize=True, database=None)
+        @given(small_networks_with_iterate())
+        def check(case):
+            topo, ka, p = case
+            ks = np.array(ka.k)
+            forced = topo.degrees < ks
+            plan = _SweepPlan(topo, ka)
+            jac = np.zeros((topo.n, topo.n))
+            jac[plan.edge_rows, plan.edge_cols] = plan.jacobian(p)
+            for j in range(topo.n):
+                up, down = p.copy(), p.copy()
+                up[j] = min(max(p[j], h), 1 - h) + h
+                down[j] = up[j] - 2 * h
+                column = (scalar_update_map(topo, ka, up) - scalar_update_map(topo, ka, down)) / (2 * h)
+                assert np.max(np.abs(jac[:, j] - column)) <= 1e-7, f"column {j}"
+            assert np.all(jac[forced] == 0.0) and np.all(np.diag(jac) == 0.0)
+            seen.update(("isolated",) if np.any(topo.degrees == 0) else ())
+            if any(forced[j] and not forced[i] for i, j in topo.edges + [(b, a) for a, b in topo.edges]):
+                seen.add("forced neighbor")
+            if np.any(~forced & (ks > 2)):
+                seen.add("trimmed")
+
+        check()
+        assert seen == {"isolated", "forced neighbor", "trimmed"}
+
+    @pytest.mark.parametrize("n", [40, 60, 100])
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_cliques_converge_to_the_symmetric_root(self, n, k):
+        # the damped rule diverges on most of these: at the symmetric root the
+        # Jacobian has an eigenvalue near or below -3 (-3.03 at n=60, K=2)
+        clique = complete_graph(n)
+        sol = solve_fixed_point(clique, assign_k(clique, fixed_policy(k)), SolverConfig(tolerance=1e-13))
+        assert sol.converged and sol.iterations <= 10
+        assert np.max(np.abs(sol.p_tx - clique_root(n, k))) <= 1e-12
+
+    @pytest.mark.parametrize(
+        "topology, ks",
+        [
+            (generate_grid(3, 4, 1.0, 1.5), (9,) * 12),  # the golden sol.json
+            (Topology.from_edges(4, []), (1,) * 4),  # isolated nodes
+            (Topology.from_edges(3, [(0, 1), (1, 2)]), (2**63, 3, 2**64)),
+        ],
+    )
+    def test_all_forced_returns_at_the_start_without_a_jacobian(self, monkeypatch, topology, ks):
+        def refuse(self, p):
+            raise AssertionError("jacobian built")
+
+        monkeypatch.setattr(_SweepPlan, "jacobian", refuse)
+        sol = solve_fixed_point(topology, KAssignment(ks, {"mode": "drawn"}))
+        assert sol.converged and sol.iterations == 1
+        assert sol.defects == (0.0,) and sol.halvings == () and sol.gmres_iterations == ()
+        assert np.all(sol.p_tx == 1.0) and np.all(sol.p_lo == 0.0)
+
+    def test_diagnostics_describe_every_step(self, grid):
+        clique = complete_graph(60)
+        for topo, ka, cfg in (
+            (grid, assign_k(grid, fixed_policy(1)), SolverConfig()),
+            (clique, assign_k(clique, fixed_policy(2)), SolverConfig()),
+            (clique, assign_k(clique, fixed_policy(2)), SolverConfig(max_iterations=3)),
+        ):
+            sol = solve_fixed_point(topo, ka, cfg)
+            assert len(sol.defects) == sol.iterations and sol.residual == sol.defects[-1]
+            assert len(sol.halvings) == len(sol.gmres_iterations) == sol.iterations - 1
+            assert all(b < a for a, b in zip(sol.defects, sol.defects[1:]))
+            assert all(g >= 1 for g in sol.gmres_iterations)
+            assert sol.converged == (sol.residual < cfg.tolerance)
+        # starting at 0.5, the 60-clique's first full Newton step overshoots
+        assert sol.halvings[0] >= 1
+
+    def test_line_search_failure_ends_the_solve(self, grid):
+        # no trial step can cut a defect that already sits at the rounding floor
+        ka = assign_k(grid, fixed_policy(2))
+        floor = solve_fixed_point(grid, ka, SolverConfig(tolerance=1e-300))
+        assert not floor.converged and floor.iterations < SolverConfig().max_iterations
+        assert len(floor.halvings) == floor.iterations and floor.halvings[-1] == 21
 
 
 def test_solution_round_trip(tmp_path, grid):
@@ -517,6 +635,11 @@ def test_solution_round_trip(tmp_path, grid):
     assert len(doc["per_node"]) == grid.n
     assert doc["per_node"][0]["p_tx"] == sol.p_tx[0]
     assert doc["policy"] == {"mode": "fixed", "k": 2}
+    assert doc["solver"] == {
+        "defects": list(sol.defects),
+        "halvings": list(sol.halvings),
+        "gmres_iterations": list(sol.gmres_iterations),
+    }
 
 
 def test_solver_config_validation():
