@@ -156,6 +156,9 @@ class _SweepPlan:
       At K = 1 the term is the column's whole product divided by step c's
       keep, which is at least 1 - t > 0, so no prefix is kept. Each step
       leaves its terms in its cells of x, and one reduceat sums them by edge.
+      The edge arrays, the prefix buffer and the backward views are built
+      by the first jacobian call, so a plan that only evaluates F, as
+      update_map without a plan does, holds none of them.
 
     The plan holds 24 bytes per (step, column) pair: the neighbor id, t and
     x. Its buffers make evaluate and jacobian non-reentrant.
@@ -172,29 +175,26 @@ class _SweepPlan:
         free = degrees[~self.forced]
         cells = int(np.sum(free * (free // 2 + 1)))  # (step, column) pairs: y steps of y // 2 + 1 columns
         self.x = np.empty(cells)  # P(fired earlier and transmitted | t)
-        self.jac = np.empty(int(np.sum(free)))  # one entry per edge
         layouts = []
-        prefix_size = dp_size = 0  # largest over the batches
+        dp_size = 0  # largest over the batches
         for k in sorted(set(ks[~self.forced].tolist())):
             nodes = np.flatnonzero((ks == k) & ~self.forced)
             nodes = nodes[np.argsort(-degrees[nodes], kind="stable")]  # ties stay by id
             ys = degrees[nodes]
             starts = np.cumsum([0, *(ys // 2 + 1)])
             active = np.count_nonzero(ys[:, None] > np.arange(ys[0]), axis=0)  # nodes that take step c
-            layouts.append((k, nodes, ys, starts, active))
+            layouts.append((k, nodes, starts, active))
             dp_size = max(dp_size, (k + 1) * int(starts[-1]))
-            if k > 1:  # min(K, c + 1) prefix rows of the columns of every step c
-                prefix_size = max(prefix_size, int(np.minimum(k, np.arange(1, ys[0] + 1)) @ starts[active]))
-        # one prefix buffer, DP array and difference buffer, shared by the batches
-        prefix, dp, diffs = np.empty(prefix_size), np.empty(dp_size), np.empty(dp_size)
+        # one DP array and difference buffer, shared by the batches
+        dp, diffs = np.empty(dp_size), np.empty(dp_size)
         self.keep = self.x[:0]  # the cells of the K = 1 batch, which comes first, hold keep = 1 - x
         self.gather = np.empty(cells, dtype=np.intp)
         self.col_t = np.empty(cells)
-        edge_rows, edge_cols, edge_starts = ([np.empty(0, dtype=np.intp)] for _ in range(3))
         self.batches = []
+        self._steps = None  # the Jacobian's, built by its first call
         offset = 0
         rules: dict[int, tuple[np.ndarray, np.ndarray]] = {}  # Gauss-Legendre rules by size
-        for k, nodes, ys, starts, active in layouts:
+        for k, nodes, starts, active in layouts:
             sizes = np.diff(starts)
             rules.update((s, _gauss_legendre(s)) for s in set(sizes.tolist()) - rules.keys())
             times = 0.75 + 0.25 * np.concatenate([rules[s][0] for s in sizes])  # [-1, 1] onto [1/2, 1]
@@ -203,34 +203,54 @@ class _SweepPlan:
             # transmitted earlier) at the column's t, for j < K
             w = dp[: (k + 1) * len(times)].reshape(k + 1, len(times))
             diff = diffs[: k * len(times)].reshape(k, len(times))
-            views, steps = [], []
-            used = 0  # of the prefix buffer
+            views = []
             for c, a in enumerate(active.tolist()):
                 b = int(starts[a])
                 neighbors = [lists[i][c] for i in nodes[:a].tolist()]
                 self.gather[offset : offset + b] = np.repeat(neighbors, sizes[:a])
                 self.col_t[offset : offset + b] = times[:b]
-                edge_rows.append(nodes[:a])
-                edge_cols.append(np.array(neighbors, dtype=np.intp))
-                edge_starts.append(offset + starts[:a])
                 x, r = self.x[offset : offset + b], min(k, c + 2)
                 if k == 1:  # a transmitting neighbor only leaves the state; x holds keep
                     views.append((w[1, :b], x))
                 else:
                     views.append((w[1 : r + 1, :b], w[:r, :b], diff[:r, :b], x))
-                    # the suffix after backward step c spans at most ys[0] - c neighbors
-                    rp, rs = min(k, c + 1), min(k, ys[0] - c + 1)
-                    backward = views[-1] if rs == r else (w[1 : rs + 1, :b], w[:rs, :b], diff[:rs, :b], x)
+                offset += b
+            self.batches.append((nodes, w, weights, -weights * times, starts, active, views, diff))
+            if k == 1:
+                self.keep = self.x[:offset]
+
+    def _build_jacobian(self) -> None:
+        """The edge arrays, the prefix buffer and the backward views, which F alone never needs."""
+        edge_rows, edge_starts = [np.empty(0, dtype=np.intp)], [np.empty(0, dtype=np.intp)]
+        self._steps = []
+        prefix_size = 0  # min(K, c + 1) rows of the columns of every step c, for the largest K > 1 batch
+        for _, w, _, _, starts, active, _, _ in self.batches:
+            if len(w) > 2:
+                rows = np.minimum(len(w) - 1, np.arange(1, len(active) + 1))
+                prefix_size = max(prefix_size, int(rows @ starts[active]))
+        prefix = np.empty(prefix_size)
+        offset = 0
+        for nodes, w, _, _, starts, active, views, diff in self.batches:
+            k, steps = len(w) - 1, []
+            used = 0  # of the prefix buffer
+            for c, a in enumerate(active.tolist()):
+                b = int(starts[a])
+                edge_rows.append(nodes[:a])
+                edge_starts.append(offset + starts[:a])
+                if k > 1:
+                    # the suffix after backward step c spans at most y - c neighbors
+                    # of the batch's largest degree y, which is its step count
+                    r, rp, rs = min(k, c + 2), min(k, c + 1), min(k, len(active) - c + 1)
+                    backward = views[c] if rs == r else (w[1 : rs + 1, :b], w[:rs, :b], diff[:rs, :b], views[c][3])
                     pref = prefix[used : used + rp * b].reshape(rp, b)
                     steps.append((w[1 : rp + 1, :b], pref, w[k + 1 - rp :, :b][::-1], backward))
                     used += rp * b
                 offset += b
-            self.batches.append((nodes, w, weights, -weights * times, starts[:-1], views, steps))
-            if k == 1:
-                self.keep = self.x[:offset]
+            self._steps.append(steps)
         self.edge_rows = np.concatenate(edge_rows)
-        self.edge_cols = np.concatenate(edge_cols)
         self.edge_starts = np.concatenate(edge_starts)  # first cell of every edge
+        self.edge_cols = self.gather[self.edge_starts]
+        self.jac = np.empty(len(self.edge_rows))
 
     def _fill(self, p: np.ndarray) -> None:
         np.take(p, self.gather, out=self.x, mode="clip")
@@ -242,7 +262,7 @@ class _SweepPlan:
         out = np.ones(len(p))
         self._fill(p)
         multiply, subtract = np.multiply, np.subtract
-        for nodes, w, weights, _, starts, views, _ in self.batches:
+        for nodes, w, weights, _, starts, _, views, _ in self.batches:
             w.fill(0.0)
             w[1] = 1.0
             if len(w) == 2:
@@ -253,7 +273,7 @@ class _SweepPlan:
                     subtract(w_r, w_below, out=diff)
                     multiply(diff, x, out=diff)
                     subtract(w_r, diff, out=w_r)
-            out[nodes] = np.add.reduceat(weights * w.sum(axis=0), starts)
+            out[nodes] = np.add.reduceat(weights * w.sum(axis=0), starts[:-1])
         return out
 
     def jacobian(self, p: np.ndarray) -> np.ndarray:
@@ -262,9 +282,11 @@ class _SweepPlan:
         Returns the plan's own buffer, which the next call overwrites; x is
         left holding the per-cell terms.
         """
+        if self._steps is None:
+            self._build_jacobian()
         self._fill(p)
         multiply, subtract = np.multiply, np.subtract
-        for _, w, _, neg_wt, _, views, steps in self.batches:
+        for (_, w, _, neg_wt, _, _, views, _), steps in zip(self.batches, self._steps):
             w.fill(0.0)
             if len(w) == 2:
                 w[1] = neg_wt
@@ -378,7 +400,6 @@ def solve_fixed_point(topology, k_assignment, config: SolverConfig | None = None
     """
     cfg = config or SolverConfig()
     plan = _SweepPlan(topology, k_assignment)
-    rows, cols = plan.edge_rows, plan.edge_cols
     p = np.where(plan.forced, 1.0, _INITIAL_P)
     f = update_map(topology, k_assignment, p, plan=plan)
     defects = [float(np.max(np.abs(f - p)))]
@@ -386,6 +407,7 @@ def solve_fixed_point(topology, k_assignment, config: SolverConfig | None = None
     krylov: list[int] = []
     while defects[-1] >= cfg.tolerance and len(defects) < cfg.max_iterations:
         jac = plan.jacobian(p)
+        rows, cols = plan.edge_rows, plan.edge_cols
         delta, its = _gmres(
             lambda v: v - np.bincount(rows, weights=jac * v[cols], minlength=len(v)),
             f - p,

@@ -13,7 +13,10 @@ node i draws from an independent substream, the doubles of
 ``numpy.random.default_rng((base_seed, r, i))``, which ``_rng.py`` draws
 for many nodes at once in uint64 arrays. One unstable sort orders a run's
 events; only when two event times tie is the order refined, so that ties
-break by node id, then interval.
+break by node id, then interval. A reception at t belongs to the receiver's
+interval floor(t - phase). The decision loop compares t with the exact
+double where the receiver's next interval starts, so a delivery costs one
+float comparison, and a run stops after its last measured decision.
 """
 from __future__ import annotations
 
@@ -56,44 +59,95 @@ class SimulationResult:
     params: TrickleParams
 
 
+def _interval_starts(phases: np.ndarray, intervals: np.ndarray) -> np.ndarray:
+    """s[i, c]: the least double s with floor(s - phases[i]) >= m = intervals[c].
+
+    A reception at t falls in node i's interval floor(t - phases[i]) under
+    float subtraction, which rises with t, so it falls in interval m or later
+    exactly when t >= s[i, c]. The rounded phases[i] + m is at most one ulp
+    off in either direction. Phases lie in [0, 1) and m >= 0 is an integer,
+    so the starts are non-negative and one ulp up or down is one step of
+    their bit patterns (below 0.0 that step gives a NaN, which never
+    qualifies).
+    """
+    s = phases[:, None] + intervals
+    bits = s.view(np.int64)
+    trial = np.subtract(s, phases[:, None])
+    bits += trial < intervals  # one ulp up where phases + m falls short
+    np.subtract(bits, 1, out=trial.view(np.int64))
+    np.subtract(trial, phases[:, None], out=trial)
+    bits -= trial >= intervals  # one ulp down where the double below also qualifies
+    return s
+
+
 def _single_run(neighbor_lists, ks, params: TrickleParams, draws: np.ndarray) -> list[int]:
-    """Transmission counts of one run; ``draws`` row i is node i's substream."""
+    """Transmission counts of one run; ``draws`` row i is node i's substream.
+
+    cnt[i] counts node i's receptions at times t >= start[i], the start of
+    its next own interval. Its own event reads the counter, zeroes it and
+    moves start[i] to the interval after. This equals counting the
+    receptions in floor(t - phase) == m, because that interval index rises
+    with t, except at an own event that rounds onto its next interval's start
+    (an offset that rounds to 1.0): a reception in the next interval before
+    it would have reset the counter, so it reads 0 if it heard one and its
+    own interval's count otherwise. Such events are found beforehand, and the
+    event blocks are cut at that next start, to save and zero the counter,
+    and at the own event, to restore or clear it.
+    """
     n, total = draws.shape[0], draws.shape[1] - 1
     phases = draws[:, 0]
+    first = params.warmup_intervals
+    last = params.warmup_intervals + params.measured_intervals
     # The same float operations as phases[i] + m + offsets[m] one event at a
     # time, in row-major (node, m) order.
-    times = ((phases[:, None] + np.arange(total)) + (0.5 + 0.5 * draws[:, 1:])).ravel()
+    times = (phases[:, None] + np.arange(total)) + (0.5 + 0.5 * draws[:, 1:])
+    # Interval 0 starts at the phase itself; the own event (i, m) moves the
+    # start to nexts[i, m], that of interval m + 1.
+    nexts = _interval_starts(phases, np.arange(1.0, total + 1.0))
+    late = np.flatnonzero(times >= nexts)
+    end_time = times[:, last - 1].max()  # the last measured decision
+    times, nexts = times.ravel(), nexts.ravel()
     order = np.argsort(times)
     times = times[order]
     if np.any(times[1:] == times[:-1]):
         # ties (measure zero) break by row-major index: node id, then interval
         order = order[np.lexsort((order, times))]
-    phases = phases.tolist()
+    # no later event changes a count
+    end = int(np.searchsorted(times, end_time, side="right"))
 
-    counter = [0] * n
-    current = [-(1 << 60)] * n  # interval index the counter belongs to
+    cut_at: dict[int, list[int]] = {}  # event position -> nodes
+    own_at: dict[int, list[int]] = {}
+    if late.size:
+        own = np.flatnonzero(np.isin(order[:end], late))
+        cuts = np.searchsorted(times, nexts[order[own]])
+        for i, cut, at in zip((order[own] // total).tolist(), cuts.tolist(), own.tolist()):
+            cut_at.setdefault(cut, []).append(i)
+            own_at.setdefault(at, []).append(i)
+    saved: dict[int, int] = {}
+    cnt = [0] * n
+    start = phases.tolist()
     counts = [0] * n
-    first = params.warmup_intervals
-    last = params.warmup_intervals + params.measured_intervals
     # Events are unpacked into Python lists one block at a time, which keeps
     # the per-event objects of a large network from being alive all at once.
-    for lo in range(0, order.size, _EVENT_BLOCK):
-        block = slice(lo, lo + _EVENT_BLOCK)
-        nodes, intervals = np.divmod(order[block], total)
-        for t, i, m in zip(times[block].tolist(), nodes.tolist(), intervals.tolist()):
-            if current[i] != m:
-                current[i] = m
-                counter[i] = 0
-            if counter[i] >= ks[i]:
+    bounds = sorted({*range(0, end, _EVENT_BLOCK), *cut_at, *own_at})
+    for lo, hi in zip(bounds, bounds[1:] + [end]):
+        for i in cut_at.get(lo, ()):
+            saved[i], cnt[i] = cnt[i], 0
+        for i in own_at.get(lo, ()):  # a node's cut comes first, at this or an earlier event
+            cnt[i] = 0 if cnt[i] else saved[i]
+        block = order[lo:hi]
+        nodes, intervals = np.divmod(block, total)
+        for t, i, m, nxt in zip(times[lo:hi].tolist(), nodes.tolist(), intervals.tolist(), nexts[block].tolist()):
+            c = cnt[i]
+            cnt[i] = 0
+            start[i] = nxt
+            if c >= ks[i]:
                 continue
             if first <= m < last:
                 counts[i] += 1
             for j in neighbor_lists[i]:
-                mj = math.floor(t - phases[j])
-                if current[j] != mj:
-                    current[j] = mj
-                    counter[j] = 0
-                counter[j] += 1
+                if t >= start[j]:
+                    cnt[j] += 1
     return counts
 
 

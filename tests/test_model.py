@@ -290,6 +290,15 @@ class TestUpdateMap:
         with pytest.raises(ValueError, match="lie in"):
             update_map(two_node, ka, [math.nan, 0.5])
 
+    def test_builds_no_jacobian_state(self, grid, monkeypatch):
+        # F alone never reads the edge arrays, prefix buffer or backward views
+        def refuse(self):
+            raise AssertionError("Jacobian state built")
+
+        monkeypatch.setattr(_SweepPlan, "_build_jacobian", refuse)
+        for k in (1, 3):
+            assert update_map(grid, assign_k(grid, fixed_policy(k)), np.full(grid.n, 0.5)).shape == (grid.n,)
+
     @pytest.mark.parametrize("p", [[0.5], [0.5, 0.5, 0.5], [[0.5, 0.5]]])
     def test_rejects_wrong_shape(self, two_node, p):
         with pytest.raises(ValueError, match=r"current_p must have shape \(2,\)"):

@@ -13,7 +13,7 @@ from tricklefair import (
     run_steady_state,
 )
 from tricklefair._rng import _BLOCK, substreams
-from tricklefair.simulator import _single_run, save_result, save_result_csv
+from tricklefair.simulator import _interval_starts, _single_run, save_result, save_result_csv
 
 from oracles import decision_loop, estimate_probabilities, single_run
 from strategies import small_networks
@@ -119,6 +119,52 @@ def test_tied_event_times_break_by_node_then_interval():
         ks = [k] * topo.n
         want = decision_loop(topo.neighbor_lists, ks, params, draws[:, 0], 0.5 + 0.5 * draws[:, 1:])
         assert _single_run(topo.neighbor_lists, ks, params, draws) == want.tolist()
+
+
+# The largest draw below 1: its offset 0.5 + 0.5 d rounds to exactly 1.0.
+_TOP_DRAW = (2**53 - 1) / 2**53
+_PHASES = st.sampled_from([0.0, 5e-324, _TOP_DRAW]) | st.floats(0.0, 1.0, exclude_max=True)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(
+    st.lists(_PHASES, min_size=1, max_size=16),
+    st.lists(st.integers(0, 40) | st.integers(0, 2**20), min_size=1, max_size=16),
+)
+def test_interval_starts_are_the_least_doubles_in_each_interval(phases, intervals):
+    ph = np.array(phases)[:, None]
+    m = np.array(intervals, dtype=float)
+    s = _interval_starts(ph[:, 0], m)
+    assert np.all(np.floor(s - ph) >= m)
+    assert np.all(np.floor(np.nextafter(s, -np.inf) - ph) < m)
+    # the decision loop starts every node's interval 0 at its phase
+    assert np.array_equal(_interval_starts(ph[:, 0], np.zeros(1))[:, 0], ph[:, 0])
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(
+    small_networks(),
+    st.integers(1, 3),
+    st.integers(1, 3),
+    st.sampled_from([0.25, 0.5, 1.0]),
+    st.integers(1, 4),
+    st.integers(0, 2),
+    st.integers(0, 2**32 - 1),
+)
+def test_offsets_that_round_to_one_match_the_decision_loop(case, k, rows, top, intervals, warmup, seed):
+    # An offset of exactly 1.0 puts a node's own event on the start of its
+    # next interval. Nodes that share a row of draws fire at the same times,
+    # so a lower id delivers at that instant, before the own event, and the
+    # reception falls in the next interval.
+    topo, _ = case
+    params = TrickleParams(measured_intervals=intervals, warmup_intervals=warmup, runs=1)
+    rng = np.random.default_rng(seed)
+    table = rng.random((rows, warmup + intervals + 2))
+    table[:, 1:][rng.random((rows, warmup + intervals + 1)) < top] = _TOP_DRAW
+    draws = table[np.arange(topo.n) % rows]
+    ks = [k] * topo.n
+    want = decision_loop(topo.neighbor_lists, ks, params, draws[:, 0], 0.5 + 0.5 * draws[:, 1:])
+    assert _single_run(topo.neighbor_lists, ks, params, draws) == want.tolist()
 
 
 @settings(max_examples=50, deadline=None, derandomize=True, database=None)
