@@ -76,6 +76,8 @@ def class_means(topology, probabilities) -> dict[int, float]:
     3), the border (5) and the interior (8).
     """
     p = np.asarray(probabilities, dtype=float)
+    if p.shape != (topology.n,):
+        raise ValueError(f"probabilities must have shape ({topology.n},)")
     degrees = topology.degrees
     return {int(d): float(p[degrees == d].mean()) for d in np.unique(degrees)}
 

@@ -22,7 +22,8 @@ is exact, one entry per directed edge i <- j,
     dF_i/dp_j = -2 * integral_{1/2}^{1} t * P(S_{-j} = K - 1) dt,
 
 where S_{-j} counts the transmitting earlier neighbors of i other than j; the
-same Gauss rule integrates it exactly. Every step solves (I - J) delta = G by
+same Gauss rule integrates it exactly, and F and J run one DP step form for
+every K, K = 1 included. Every step solves (I - J) delta = G by
 restarted GMRES, then halves the step until max|F(p) - p| falls enough. The
 discrete-event simulator quantifies the error of the independence
 approximation.
@@ -137,31 +138,29 @@ class _SweepPlan:
 
     - Gather: for every step of every batch, in order, the plan stores the
       neighbor id and the t of each column the step updates, so a sweep fills
-      x = p[neighbor] * t for all steps in two calls, and turns the K = 1
-      batch, which comes first, into keep = 1 - x in a third.
+      x = p[neighbor] * t for all steps in two calls.
     - Views: each batch owns its DP array w, whose row 0 stays zero below
       the K states, and a buffer for the differences, and every step's
       slices of them and of x are made here. A step is then three ufunc calls
-      with out=, w[j] -= x * (w[j] - w[j - 1]), or w *= keep at K = 1.
+      with out=, w[j] -= x * (w[j] - w[j - 1]), at every K.
     - Row trimming: before step c at most c neighbors transmitted, so step c
       updates only the first min(K, c + 2) states; the states it skips hold
       exact zeros.
     - Jacobian: the edges are the (node, c-th neighbor) pairs of the steps in
       order, edge_rows and edge_cols. jacobian reruns the DP, copying before
       step c the min(K, c + 1) states that can be nonzero into a prefix
-      buffer sized for the largest batch, then runs the same steps backward
-      from -w t in place of 1: before backward step c, w holds -w t times
-      P(exactly j of the neighbors after c transmitted), and the sum over m
-      of prefix_c[m] * suffix[K - 1 - m] is the column's term of dF_i/dp_j.
-      At K = 1 the term is the column's whole product divided by step c's
-      keep, which is at least 1 - t > 0, so no prefix is kept. Each step
-      leaves its terms in its cells of x, and one reduceat sums them by edge.
-      The edge arrays, the prefix buffer and the backward views are built
-      by the first jacobian call, so a plan that only evaluates F, as
-      update_map without a plan does, holds none of them.
+      buffer sized for the largest batch, K = 1 included, then runs the same
+      steps backward from -w t in place of 1: before backward step c, w
+      holds -w t times P(exactly j of the neighbors after c transmitted), and
+      the sum over m of prefix_c[m] * suffix[K - 1 - m] is the column's term
+      of dF_i/dp_j. Each step leaves its terms in its cells of x, and one
+      reduceat sums them by edge. The edge arrays, the prefix buffer and the
+      backward views are built by the first jacobian call, so a plan that
+      only evaluates F, as update_map without a plan does, holds none of them.
 
     The plan holds 24 bytes per (step, column) pair: the neighbor id, t and
-    x. Its buffers make evaluate and jacobian non-reentrant.
+    x; the prefix adds 8 x min(K, c + 1) bytes per pair of the largest batch.
+    Its buffers make evaluate and jacobian non-reentrant.
     """
 
     def __init__(self, topology, k_assignment) -> None:
@@ -187,7 +186,6 @@ class _SweepPlan:
             dp_size = max(dp_size, (k + 1) * int(starts[-1]))
         # one DP array and difference buffer, shared by the batches
         dp, diffs = np.empty(dp_size), np.empty(dp_size)
-        self.keep = self.x[:0]  # the cells of the K = 1 batch, which comes first, hold keep = 1 - x
         self.gather = np.empty(cells, dtype=np.intp)
         self.col_t = np.empty(cells)
         self.batches = []
@@ -209,25 +207,19 @@ class _SweepPlan:
                 neighbors = [lists[i][c] for i in nodes[:a].tolist()]
                 self.gather[offset : offset + b] = np.repeat(neighbors, sizes[:a])
                 self.col_t[offset : offset + b] = times[:b]
-                x, r = self.x[offset : offset + b], min(k, c + 2)
-                if k == 1:  # a transmitting neighbor only leaves the state; x holds keep
-                    views.append((w[1, :b], x))
-                else:
-                    views.append((w[1 : r + 1, :b], w[:r, :b], diff[:r, :b], x))
+                r = min(k, c + 2)
+                views.append((w[1 : r + 1, :b], w[:r, :b], diff[:r, :b], self.x[offset : offset + b]))
                 offset += b
             self.batches.append((nodes, w, weights, -weights * times, starts, active, views, diff))
-            if k == 1:
-                self.keep = self.x[:offset]
 
     def _build_jacobian(self) -> None:
         """The edge arrays, the prefix buffer and the backward views, which F alone never needs."""
         edge_rows, edge_starts = [np.empty(0, dtype=np.intp)], [np.empty(0, dtype=np.intp)]
         self._steps = []
-        prefix_size = 0  # min(K, c + 1) rows of the columns of every step c, for the largest K > 1 batch
+        prefix_size = 0  # min(K, c + 1) rows of the columns of every step c, for the largest batch
         for _, w, _, _, starts, active, _, _ in self.batches:
-            if len(w) > 2:
-                rows = np.minimum(len(w) - 1, np.arange(1, len(active) + 1))
-                prefix_size = max(prefix_size, int(rows @ starts[active]))
+            rows = np.minimum(len(w) - 1, np.arange(1, len(active) + 1))
+            prefix_size = max(prefix_size, int(rows @ starts[active]))
         prefix = np.empty(prefix_size)
         offset = 0
         for nodes, w, _, _, starts, active, views, diff in self.batches:
@@ -237,14 +229,13 @@ class _SweepPlan:
                 b = int(starts[a])
                 edge_rows.append(nodes[:a])
                 edge_starts.append(offset + starts[:a])
-                if k > 1:
-                    # the suffix after backward step c spans at most y - c neighbors
-                    # of the batch's largest degree y, which is its step count
-                    r, rp, rs = min(k, c + 2), min(k, c + 1), min(k, len(active) - c + 1)
-                    backward = views[c] if rs == r else (w[1 : rs + 1, :b], w[:rs, :b], diff[:rs, :b], views[c][3])
-                    pref = prefix[used : used + rp * b].reshape(rp, b)
-                    steps.append((w[1 : rp + 1, :b], pref, w[k + 1 - rp :, :b][::-1], backward))
-                    used += rp * b
+                # the suffix after backward step c spans at most y - c neighbors
+                # of the batch's largest degree y, which is its step count
+                r, rp, rs = min(k, c + 2), min(k, c + 1), min(k, len(active) - c + 1)
+                backward = views[c] if rs == r else (w[1 : rs + 1, :b], w[:rs, :b], diff[:rs, :b], views[c][3])
+                pref = prefix[used : used + rp * b].reshape(rp, b)
+                steps.append((w[1 : rp + 1, :b], pref, w[k + 1 - rp :, :b][::-1], backward))
+                used += rp * b
                 offset += b
             self._steps.append(steps)
         self.edge_rows = np.concatenate(edge_rows)
@@ -255,7 +246,6 @@ class _SweepPlan:
     def _fill(self, p: np.ndarray) -> None:
         np.take(p, self.gather, out=self.x, mode="clip")
         np.multiply(self.x, self.col_t, out=self.x)
-        np.subtract(1.0, self.keep, out=self.keep)
 
     def evaluate(self, p: np.ndarray) -> np.ndarray:
         """F(p) of every node against the iterate p; 1 where y < K."""
@@ -265,14 +255,10 @@ class _SweepPlan:
         for nodes, w, weights, _, starts, _, views, _ in self.batches:
             w.fill(0.0)
             w[1] = 1.0
-            if len(w) == 2:
-                for w_b, keep in views:
-                    multiply(w_b, keep, out=w_b)
-            else:
-                for w_r, w_below, diff, x in views:
-                    subtract(w_r, w_below, out=diff)
-                    multiply(diff, x, out=diff)
-                    subtract(w_r, diff, out=w_r)
+            for w_r, w_below, diff, x in views:
+                subtract(w_r, w_below, out=diff)
+                multiply(diff, x, out=diff)
+                subtract(w_r, diff, out=w_r)
             out[nodes] = np.add.reduceat(weights * w.sum(axis=0), starts[:-1])
         return out
 
@@ -288,13 +274,6 @@ class _SweepPlan:
         multiply, subtract = np.multiply, np.subtract
         for (_, w, _, neg_wt, _, _, views, _), steps in zip(self.batches, self._steps):
             w.fill(0.0)
-            if len(w) == 2:
-                w[1] = neg_wt
-                for w_b, keep in views:
-                    multiply(w_b, keep, out=w_b)
-                for w_b, keep in views:
-                    np.divide(w_b, keep, out=keep)
-                continue
             w[1] = 1.0
             for (w_r, w_below, diff, x), (w_p, pref, _, _) in zip(views, steps):
                 np.copyto(pref, w_p)

@@ -57,7 +57,7 @@ def assign_k(topology, policy: dict) -> KAssignment:
     """Evaluate a policy descriptor on every node of a topology."""
     mode = policy.get("mode")
     if mode == "fixed":
-        ks = (policy["k"],) * topology.n
+        ks = (policy.get("k"),) * topology.n
     elif mode == "heuristic":
         step = policy.get("step", DEFAULT_STEP)
         offset = policy.get("offset", DEFAULT_OFFSET)

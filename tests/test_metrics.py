@@ -78,6 +78,12 @@ def test_class_means_by_degree(grid):
     assert cm == {3: pytest.approx(0.7), 5: pytest.approx(0.5), 8: pytest.approx(0.2)}
 
 
+@pytest.mark.parametrize("p", [[0.5] * 48, [0.5] * 50, [[0.5] * 49]])
+def test_class_means_rejects_wrong_shape(grid, p):
+    with pytest.raises(ValueError, match=r"probabilities must have shape \(49,\)"):
+        class_means(grid, p)
+
+
 def test_export_surface_single_node(tmp_path):
     t = generate_grid(1, 1, 1.0, 1.0)
     path = tmp_path / "s.csv"

@@ -387,9 +387,10 @@ class TestSolveFixedPoint:
         assert sol.p_tx == pytest.approx(sol.p_f + sol.p_lo, abs=1e-8)
 
     def test_newton_solutions_are_pinned_bit_for_bit(self, grid):
-        # sha256 of (iterations, p_tx, p_lo) of every case as first solved by
-        # Newton's method on the exact edge Jacobian; any change to the DP, the
-        # Jacobian, GMRES or the line search moves it
+        # sha256 of (iterations, p_tx, p_lo) of every case as solved by Newton's
+        # method on the exact edge Jacobian, with every K batch, K = 1 included,
+        # run through the same DP step; any change to the DP, the Jacobian,
+        # GMRES or the line search moves it
         udg = generate_random_udg(200, 8.0, 1.6, 1)
         cases = [(grid, assign_k(grid, fixed_policy(k))) for k in range(1, 7)]
         cases += [(grid, assign_k(grid, heuristic_policy(step=3, offset=o))) for o in (2, 0)]  # reproduce table 3
@@ -400,7 +401,7 @@ class TestSolveFixedPoint:
             digest.update(str(sol.iterations).encode())
             digest.update(sol.p_tx.astype("<f8").tobytes())
             digest.update(sol.p_lo.astype("<f8").tobytes())
-        assert digest.hexdigest() == "229abdc5efcb9bfa947384a90645d9fbfdd3efb725f5b95d59d2b971ef3272f2"
+        assert digest.hexdigest() == "f5cd41982cb6af806ac93e7c10fa36926f1f504d337f23f8d5b805ca6c325f61"
 
     def test_update_map_is_called_once_per_f_evaluation(self, grid, monkeypatch):
         # the benchmark's tracer counts evaluations of F by replacing
@@ -552,8 +553,9 @@ class TestNewton:
     def test_edge_jacobian_matches_central_differences(self):
         # F is affine in each p_j, so central differences of the scalar oracle
         # are exact up to rounding; the cases must cover isolated nodes, forced
-        # nodes that are some free node's neighbor, and K > 2, whose first
-        # steps trim rows and keep fewer than K prefix rows
+        # nodes that are some free node's neighbor, K = 1, whose one prefix
+        # row meets one suffix row, and K > 2, whose first steps trim rows and
+        # keep fewer than K prefix rows
         h = 1e-6
         seen = set()
 
@@ -576,11 +578,13 @@ class TestNewton:
             seen.update(("isolated",) if np.any(topo.degrees == 0) else ())
             if any(forced[j] and not forced[i] for i, j in topo.edges + [(b, a) for a, b in topo.edges]):
                 seen.add("forced neighbor")
+            if np.any(~forced & (ks == 1)):
+                seen.add("K = 1")
             if np.any(~forced & (ks > 2)):
                 seen.add("trimmed")
 
         check()
-        assert seen == {"isolated", "forced neighbor", "trimmed"}
+        assert seen == {"isolated", "forced neighbor", "K = 1", "trimmed"}
 
     @pytest.mark.parametrize("n", [40, 60, 100])
     @pytest.mark.parametrize("k", [1, 2, 3, 4])

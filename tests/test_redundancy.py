@@ -83,3 +83,5 @@ def test_assign_rejects_bad_policy(grid):
     for policy in (fixed_policy(0), fixed_policy(2.7), fixed_policy(True), heuristic_policy(step=2.5)):
         with pytest.raises(ValueError):
             assign_k(grid, policy)
+    with pytest.raises(ValueError, match="redundancy constant None must be an integer >= 1"):
+        assign_k(grid, {"mode": "fixed"})
