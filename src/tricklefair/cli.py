@@ -194,7 +194,7 @@ def cmd_reproduce(args) -> int:
     io.write_json(manifest_path, manifest)
 
     stats = list(_STATISTICS) if args.table == 3 else list(_STATISTICS)[1:]
-    columns = []
+    assignments, solutions = [], []
     for label, policy in configs:
         assignment = redundancy.assign_k(topo, policy)
         solution = model.solve_fixed_point(topo, assignment)
@@ -206,7 +206,13 @@ def cmd_reproduce(args) -> int:
             io.write_json(manifest_path, manifest)
             print(f"error: configuration {label} did not converge", file=sys.stderr)
             return EXIT_NO_CONVERGENCE
-        result = simulator.run_steady_state(topo, assignment, params)
+        assignments.append(assignment)
+        solutions.append(solution)
+
+    # one call, so the configurations share each run's event schedule
+    results = simulator.run_steady_states(topo, assignments, params)
+    columns = []
+    for (label, _), solution, result in zip(configs, solutions, results):
         simulator.save_result(out / f"sim_{label}.json", result)
         simulator.save_result_csv(out / f"sim_{label}.csv", result)
         for source, probs in (("model", solution.p_tx), ("sim", result.mean_p)):

@@ -17,6 +17,9 @@ break by node id, then interval. A reception at t belongs to the receiver's
 interval floor(t - phase). The decision loop compares t with the exact
 double where the receiver's next interval starts, so a delivery costs one
 float comparison, and a run stops after its last measured decision.
+Several K assignments on one topology share each run's draws, so they
+share its event schedule as well (common random numbers): a run builds the
+schedule once and runs the decision loop once per assignment.
 """
 from __future__ import annotations
 
@@ -80,9 +83,12 @@ def _interval_starts(phases: np.ndarray, intervals: np.ndarray) -> np.ndarray:
     return s
 
 
-def _single_run(neighbor_lists, ks, params: TrickleParams, draws: np.ndarray) -> list[int]:
-    """Transmission counts of one run; ``draws`` row i is node i's substream.
+def _single_run(neighbor_lists, ks_list, params: TrickleParams, draws: np.ndarray) -> list[list[int]]:
+    """Transmission counts of one run per K list; ``draws`` row i is node i's substream.
 
+    The event schedule (times, interval starts, sort order, cuts and each
+    block's unpacked lists) depends only on the draws, so it is built once
+    and every K list runs the decision loop over it with its own state.
     cnt[i] counts node i's receptions at times t >= start[i], the start of
     its next own interval. Its own event reads the counter, zeroes it and
     moves start[i] to the interval after. This equals counting the
@@ -123,38 +129,44 @@ def _single_run(neighbor_lists, ks, params: TrickleParams, draws: np.ndarray) ->
         for i, cut, at in zip((order[own] // total).tolist(), cuts.tolist(), own.tolist()):
             cut_at.setdefault(cut, []).append(i)
             own_at.setdefault(at, []).append(i)
-    saved: dict[int, int] = {}
-    cnt = [0] * n
-    start = phases.tolist()
-    counts = [0] * n
+    # per K list: counter, next interval start, counts, counters saved at cuts
+    states = [(ks, [0] * n, phases.tolist(), [0] * n, {}) for ks in ks_list]
     # Events are unpacked into Python lists one block at a time, which keeps
     # the per-event objects of a large network from being alive all at once.
     bounds = sorted({*range(0, end, _EVENT_BLOCK), *cut_at, *own_at})
     for lo, hi in zip(bounds, bounds[1:] + [end]):
-        for i in cut_at.get(lo, ()):
-            saved[i], cnt[i] = cnt[i], 0
-        for i in own_at.get(lo, ()):  # a node's cut comes first, at this or an earlier event
-            cnt[i] = 0 if cnt[i] else saved[i]
         block = order[lo:hi]
         nodes, intervals = np.divmod(block, total)
-        for t, i, m, nxt in zip(times[lo:hi].tolist(), nodes.tolist(), intervals.tolist(), nexts[block].tolist()):
-            c = cnt[i]
-            cnt[i] = 0
-            start[i] = nxt
-            if c >= ks[i]:
-                continue
-            if first <= m < last:
-                counts[i] += 1
-            for j in neighbor_lists[i]:
-                if t >= start[j]:
-                    cnt[j] += 1
-    return counts
+        unpacked = times[lo:hi].tolist(), nodes.tolist(), intervals.tolist(), nexts[block].tolist()
+        for ks, cnt, start, counts, saved in states:
+            for i in cut_at.get(lo, ()):
+                saved[i], cnt[i] = cnt[i], 0
+            for i in own_at.get(lo, ()):  # a node's cut comes first, at this or an earlier event
+                cnt[i] = 0 if cnt[i] else saved[i]
+            for t, i, m, nxt in zip(*unpacked):
+                c = cnt[i]
+                cnt[i] = 0
+                start[i] = nxt
+                if c >= ks[i]:
+                    continue
+                if first <= m < last:
+                    counts[i] += 1
+                for j in neighbor_lists[i]:
+                    if t >= start[j]:
+                        cnt[j] += 1
+        del unpacked  # before the next block's objects are built
+    return [counts for _, _, _, counts, _ in states]
 
 
-def run_steady_state(topology, k_assignment, params: TrickleParams) -> SimulationResult:
-    """Simulate `runs` independent repetitions and estimate per-node probabilities."""
-    if len(k_assignment.k) != topology.n:
-        raise ValueError("k_assignment length does not match topology")
+def run_steady_states(topology, k_assignments, params: TrickleParams) -> list[SimulationResult]:
+    """Simulate every K assignment over the same `runs` repetitions, one result each.
+
+    Every assignment sees the same draws and event schedule, which each run
+    builds once; the counts equal separate ``run_steady_state`` calls.
+    """
+    for k_assignment in k_assignments:
+        if len(k_assignment.k) != topology.n:
+            raise ValueError("k_assignment length does not match topology")
     n = topology.n
     # One trailing interval beyond the measured window keeps late-phase
     # neighbors firing while early-phase nodes finish their last measured
@@ -163,12 +175,22 @@ def run_steady_state(topology, k_assignment, params: TrickleParams) -> Simulatio
     # rate climbs from 0.47 (interval 0) to 0.53 (interval 2) and settles
     # near 0.57 only from interval 6, so short windows read low.
     total = params.warmup_intervals + params.measured_intervals + 1
-    counts = np.empty((params.runs, n), dtype=np.int64)
+    ks_list = [k_assignment.k for k_assignment in k_assignments]
+    counts = np.empty((len(ks_list), params.runs, n), dtype=np.int64)
     draws = substreams(params.base_seed, params.runs, n, total + 1)
     for r, run_draws in enumerate(draws):
-        counts[r] = _single_run(topology.neighbor_lists, k_assignment.k, params, run_draws)
-    mean_p, ci95 = _estimate(counts, params)
-    return SimulationResult(counts=counts, mean_p=mean_p, ci95=ci95, params=params)
+        for a, run_counts in enumerate(_single_run(topology.neighbor_lists, ks_list, params, run_draws)):
+            counts[a, r] = run_counts
+    results = []
+    for assignment_counts in counts:
+        mean_p, ci95 = _estimate(assignment_counts, params)
+        results.append(SimulationResult(counts=assignment_counts, mean_p=mean_p, ci95=ci95, params=params))
+    return results
+
+
+def run_steady_state(topology, k_assignment, params: TrickleParams) -> SimulationResult:
+    """Simulate `runs` independent repetitions and estimate per-node probabilities."""
+    return run_steady_states(topology, [k_assignment], params)[0]
 
 
 def _estimate(counts: np.ndarray, params: TrickleParams):

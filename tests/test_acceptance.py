@@ -50,7 +50,7 @@ from tricklefair import (
 )
 from tricklefair.cli import bundled_random_topology, main as cli_main
 from tricklefair.model import update_map
-from tricklefair.simulator import CI95_Z
+from tricklefair.simulator import CI95_Z, run_steady_states
 
 from oracles import p_first, star_hub_k1
 
@@ -141,8 +141,8 @@ def grid_steady_state(grid):
     perms = grid_symmetries(grid)
     t0 = time.perf_counter()
     estimates = {}
-    for k in (1, 2, 3):
-        res = run_steady_state(grid, assign_k(grid, fixed_policy(k)), params)
+    results = run_steady_states(grid, [assign_k(grid, fixed_policy(k)) for k in (1, 2, 3)], params)
+    for k, res in zip((1, 2, 3), results):
         freqs = res.counts / params.measured_intervals
         rows = freqs[:, perms].mean(axis=1)  # each run averaged over its orbits
         ci95 = CI95_Z * rows.std(axis=0, ddof=1) / math.sqrt(params.runs)
@@ -347,8 +347,8 @@ def test_gate7_random_topology_trend_and_band():
     trend_ok = all(variances[k] > variances[k + 1] for k in range(peak, 6))
 
     gaps, ci95 = {}, {}
-    for k in (1, 2, 3):
-        res = run_steady_state(topo, assign_k(topo, fixed_policy(k)), RANDOM_STEADY_STATE_PARAMS)
+    results = run_steady_states(topo, [assign_k(topo, fixed_policy(k)) for k in (1, 2, 3)], RANDOM_STEADY_STATE_PARAMS)
+    for k, res in zip((1, 2, 3), results):
         ci95[k] = float(res.ci95.max())
         assert ci95[k] <= RANDOM_CI95_TARGET, (
             f"K={k}: simulated per-node ci95 {ci95[k]:.4f} exceeds {RANDOM_CI95_TARGET}; "

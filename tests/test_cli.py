@@ -366,15 +366,23 @@ def test_reproduce_random_table_uses_bundled_topology(tmp_path):
 
 def test_reproduce_stops_at_the_first_configuration_that_does_not_converge(tmp_path, capsys, monkeypatch):
     solve = model.solve_fixed_point
-    monkeypatch.setattr(model, "solve_fixed_point", lambda topo, ka: solve(topo, ka, SolverConfig(max_iterations=1)))
-    out = tmp_path / "t1"
-    assert run_cli("reproduce", "--table", 1, "--out", out, "--runs", 2, "--intervals", 2) == 3
-    manifest = json.loads((out / "manifest.json").read_text())
-    assert manifest["status"] == "failed"
-    assert manifest["error"] == "configuration k1 did not converge"
-    assert json.loads((out / "model_k1.json").read_text())["converged"] is False
-    assert not (out / "sim_k1.json").exists()
-    assert "error: configuration k1 did not converge" in capsys.readouterr().err
+    for failing_k in (1, 3):
+        def solve_failing_k(topo, ka):
+            return solve(topo, ka, SolverConfig(max_iterations=1) if ka.k[0] == failing_k else SolverConfig())
+
+        monkeypatch.setattr(model, "solve_fixed_point", solve_failing_k)
+        out = tmp_path / f"fail_k{failing_k}"
+        assert run_cli("reproduce", "--table", 1, "--out", out, "--runs", 2, "--intervals", 2) == 3
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["status"] == "failed"
+        assert manifest["error"] == f"configuration k{failing_k} did not converge"
+        for k in range(1, failing_k + 1):
+            assert json.loads((out / f"model_k{k}.json").read_text())["converged"] is (k < failing_k)
+        assert not (out / f"model_k{failing_k + 1}.json").exists()
+        # nothing is simulated unless every configuration converged
+        assert not list(out.glob("sim_*"))
+        assert "fairness" not in manifest
+        assert f"error: configuration k{failing_k} did not converge" in capsys.readouterr().err
 
 
 def test_reproduce_refuses_nonempty_dir(tmp_path):

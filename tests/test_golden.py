@@ -4,8 +4,10 @@ Every file pinned here has contents that do not depend on solver floats
 (whose last bits can differ across BLAS builds): topology geometry, seeded
 simulation counts, a solve in which every node has fewer neighbors than K
 (so p_tx = p_f = 1.0 and p_lo = 0.0 exactly), and library CSV writers fed
-fixed values. The commands run inside tmp_path with relative paths, so the
-embedded manifests do not depend on where the test runs.
+fixed values. The `reproduce` model files and roll-up tables hold solver
+floats, so only its simulation files are pinned. The commands run inside
+tmp_path with relative paths, so the embedded manifests do not depend on
+where the test runs.
 """
 import hashlib
 import math
@@ -27,6 +29,18 @@ GOLDEN_SHA256 = {
     "t3/sim_offset2_step3.csv": "818b5a608e9a76a613c19761fad879241ddbae4313053b713f64f1931c9c61de",
     "t3/sim_offset0_step3.json": "4d79fdbe63eda72ac282deecac9899a4fe2a5a389cc2f015fca3ec64ee7febbc",
     "t3/sim_offset0_step3.csv": "c731b1b01b4156fe814e006ea774417fbf67e3278a82402b1cb7815d93dfd827",
+    "t1/sim_k1.json": "274762dea7afa6f8b7c8efc636d72cd955b803139c35ee23dcfa4eb3500a5eb9",
+    "t1/sim_k1.csv": "dad68d11fe9dda213c8f395e558786f60401b8b660c0b06e425bf6238b2ad1bf",
+    "t1/sim_k2.json": "2b00bcc7fe95b8d298be83f025b4c6101aa8ce7247453e6381cb8e4dd7106db0",
+    "t1/sim_k2.csv": "6a689ea8aa5cb0d780626c9503099699731caeae3f045a9b53c7687d6f94f73e",
+    "t1/sim_k3.json": "8b65119b24a1264c2ef42a9fd3ff807b46bfe3198b8d21a61535ef7bc63c061f",
+    "t1/sim_k3.csv": "d1b5961a442db342985557e23cff1421293f2044244a8b1d0395c4a93deddc89",
+    "t1/sim_k4.json": "4e2522e36b88351a2f8e101189897578953e087332fa5e1573778beb7c78bfa6",
+    "t1/sim_k4.csv": "b03c2d07cc0f67ea9a9e38a3f31f6f3e765dd4bee781705474fdc809862cd537",
+    "t1/sim_k5.json": "6604e8c896e31d5fe606363023a633dd21253883f07fd7f24493c33821483808",
+    "t1/sim_k5.csv": "9943a19f6b9727991d29adcd1d26a207344f6f598b772152c9c93ea3ef4387d4",
+    "t1/sim_k6.json": "119902ab997645104fb41e0b7e94cf849b2fb5dd76db2cb4f2d006e839a98c9c",
+    "t1/sim_k6.csv": "63685087eaebc4cb2715e84f8e946cf5c65e31cde52fc70a2576ef15194bcb8c",
 }
 
 
@@ -51,6 +65,7 @@ def test_written_bytes_are_pinned(tmp_path, monkeypatch):
     p_sim = [0.25, 0.2, 0.95, 1e-7, 2 / 3]
     save_comparison_csv("cmp_lib.csv", [1, 2, 3, 4, 5], [1, 1, 2, 2, 3], compare(p_model, p_sim))
 
+    assert main(["reproduce", "--table", "1", "--out", "t1", "--runs", "2", "--intervals", "2"]) == 0
     assert main(["reproduce", "--table", "3", "--out", "t3", "--runs", "2", "--intervals", "2"]) == 0
 
     got = {name: _sha256(tmp_path / name) for name in GOLDEN_SHA256}

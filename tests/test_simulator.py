@@ -10,10 +10,12 @@ from tricklefair import (
     assign_k,
     fixed_policy,
     generate_random_udg,
+    heuristic_policy,
     run_steady_state,
 )
 from tricklefair._rng import _BLOCK, substreams
-from tricklefair.simulator import _interval_starts, _single_run, save_result, save_result_csv
+from tricklefair.cli import bundled_random_topology
+from tricklefair.simulator import _interval_starts, _single_run, run_steady_states, save_result, save_result_csv
 
 from oracles import decision_loop, estimate_probabilities, single_run
 from strategies import small_networks
@@ -115,10 +117,11 @@ def test_tied_event_times_break_by_node_then_interval():
     params = TrickleParams(measured_intervals=12, warmup_intervals=2, runs=1)
     rows = np.random.default_rng(4).random((3, params.warmup_intervals + params.measured_intervals + 2))
     draws = rows[np.arange(topo.n) % 3]
-    for k in (1, 2):
-        ks = [k] * topo.n
+    ks_list = [[k] * topo.n for k in (1, 2, 3)]
+    got = _single_run(topo.neighbor_lists, ks_list, params, draws)
+    for ks, counts in zip(ks_list, got):
         want = decision_loop(topo.neighbor_lists, ks, params, draws[:, 0], 0.5 + 0.5 * draws[:, 1:])
-        assert _single_run(topo.neighbor_lists, ks, params, draws) == want.tolist()
+        assert counts == want.tolist()
 
 
 # The largest draw below 1: its offset 0.5 + 0.5 d rounds to exactly 1.0.
@@ -145,26 +148,28 @@ def test_interval_starts_are_the_least_doubles_in_each_interval(phases, interval
 @given(
     small_networks(),
     st.integers(1, 3),
-    st.integers(1, 3),
     st.sampled_from([0.25, 0.5, 1.0]),
     st.integers(1, 4),
     st.integers(0, 2),
     st.integers(0, 2**32 - 1),
 )
-def test_offsets_that_round_to_one_match_the_decision_loop(case, k, rows, top, intervals, warmup, seed):
+def test_offsets_that_round_to_one_match_the_decision_loop(case, rows, top, intervals, warmup, seed):
     # An offset of exactly 1.0 puts a node's own event on the start of its
     # next interval. Nodes that share a row of draws fire at the same times,
     # so a lower id delivers at that instant, before the own event, and the
-    # reception falls in the next interval.
+    # reception falls in the next interval. K = 1, 2, 3 share one schedule,
+    # and each must keep its own counter saved across that own event.
     topo, _ = case
     params = TrickleParams(measured_intervals=intervals, warmup_intervals=warmup, runs=1)
     rng = np.random.default_rng(seed)
     table = rng.random((rows, warmup + intervals + 2))
     table[:, 1:][rng.random((rows, warmup + intervals + 1)) < top] = _TOP_DRAW
     draws = table[np.arange(topo.n) % rows]
-    ks = [k] * topo.n
-    want = decision_loop(topo.neighbor_lists, ks, params, draws[:, 0], 0.5 + 0.5 * draws[:, 1:])
-    assert _single_run(topo.neighbor_lists, ks, params, draws) == want.tolist()
+    ks_list = [[k] * topo.n for k in (1, 2, 3)]
+    got = _single_run(topo.neighbor_lists, ks_list, params, draws)
+    for ks, counts in zip(ks_list, got):
+        want = decision_loop(topo.neighbor_lists, ks, params, draws[:, 0], 0.5 + 0.5 * draws[:, 1:])
+        assert counts == want.tolist(), ks[0]
 
 
 @settings(max_examples=50, deadline=None, derandomize=True, database=None)
@@ -183,14 +188,30 @@ def test_random_networks_match_reference_simulator(case, runs, intervals, warmup
     assert np.array_equal(res.counts, want)
 
 
+@pytest.mark.parametrize("name", ["grid", "random49"])
+def test_shared_schedule_counts_equal_separate_runs(name, grid):
+    topo = grid if name == "grid" else bundled_random_topology()
+    policies = [fixed_policy(k) for k in range(1, 7)] + [heuristic_policy(3, 2), heuristic_policy(3, 0)]
+    kas = [assign_k(topo, policy) for policy in policies]
+    params = TrickleParams(measured_intervals=6, warmup_intervals=3, runs=8, base_seed=3)
+    results = run_steady_states(topo, kas, params)
+    assert len(results) == len(kas)
+    for ka, res in zip(kas, results):
+        alone = run_steady_state(topo, ka, params)
+        assert np.array_equal(res.counts, alone.counts), ka.policy
+        assert np.array_equal(res.mean_p, alone.mean_p)
+        assert np.array_equal(res.ci95, alone.ci95)
+
+
 def test_large_network_matches_reference_simulator():
-    # big enough that the event unpacking splits into several blocks (runs
-    # split across hash-and-step blocks are covered by test_substreams_match_default_rng)
+    # big enough that the event unpacking splits into several blocks
+    # (runs split across hash-and-step blocks are covered by
+    # test_substreams_match_default_rng); two K assignments share the blocks
     topo = generate_random_udg(700, 26.5, 1.6, 3)
-    ka = assign_k(topo, fixed_policy(2))
+    kas = [assign_k(topo, fixed_policy(k)) for k in (1, 2)]
     params = TrickleParams(runs=2, base_seed=11)
-    res = run_steady_state(topo, ka, params)
-    assert np.array_equal(res.counts, [single_run(topo, ka.k, params, r) for r in range(2)])
+    for ka, res in zip(kas, run_steady_states(topo, kas, params)):
+        assert np.array_equal(res.counts, [single_run(topo, ka.k, params, r) for r in range(2)])
 
 
 def test_two_node_pair_mean_near_model_value(two_node):
@@ -275,6 +296,8 @@ def test_k_assignment_length_must_match(two_node):
     ka = assign_k(Topology.from_edges(3, [(0, 1)]), fixed_policy(1))
     with pytest.raises(ValueError, match="k_assignment length"):
         run_steady_state(two_node, ka, TrickleParams(runs=1))
+    with pytest.raises(ValueError, match="k_assignment length"):
+        run_steady_states(two_node, [assign_k(two_node, fixed_policy(1)), ka], TrickleParams(runs=1))
 
 
 def test_result_round_trip(tmp_path, two_node):
