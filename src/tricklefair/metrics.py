@@ -89,13 +89,11 @@ def export_surface(topology, probabilities, path) -> None:
     p = np.asarray(probabilities, dtype=float)
     if p.shape != (topology.n,):
         raise ValueError(f"probabilities must have shape ({topology.n},)")
-    write_csv(path, ["x", "y", "p"], zip(topology.positions[:, 0], topology.positions[:, 1], p))
+    write_csv(path, ["x", "y", "p"], zip(*topology.positions.T.tolist(), p.tolist()))
 
 
 def save_comparison_csv(path, degrees, ks, comparison: Comparison) -> None:
     """Per-node comparison rows: id,degree,k,p_model,p_sim,abs_diff."""
-    rows = (
-        (i, int(degrees[i]), int(ks[i]), comparison.p_model[i], comparison.p_sim[i], comparison.abs_diff[i])
-        for i in range(len(comparison.p_model))
-    )
+    columns = comparison.p_model.tolist(), comparison.p_sim.tolist(), comparison.abs_diff.tolist()
+    rows = zip(range(len(columns[0])), map(int, degrees), map(int, ks), *columns)
     write_csv(path, ["id", "degree", "k", "p_model", "p_sim", "abs_diff"], rows)

@@ -434,15 +434,8 @@ def save_solution(path, topology, k_assignment, solution: ModelSolution, extra: 
             "gmres_iterations": list(solution.gmres_iterations),
         },
         "per_node": [
-            {
-                "id": i,
-                "degree": int(topology.degree(i)),
-                "k": int(k_assignment.k[i]),
-                "p_tx": float(solution.p_tx[i]),
-                "p_f": float(solution.p_f[i]),
-                "p_lo": float(solution.p_lo[i]),
-            }
-            for i in range(topology.n)
+            {"id": i, "degree": degree, "k": k, "p_tx": p_tx, "p_f": p_f, "p_lo": p_lo}
+            for i, degree, k, p_tx, p_f, p_lo in _solution_rows(topology, k_assignment, solution)
         ],
     }
     if extra:
@@ -451,5 +444,10 @@ def save_solution(path, topology, k_assignment, solution: ModelSolution, extra: 
 
 
 def save_solution_csv(path, topology, k_assignment, solution: ModelSolution) -> None:
-    rows = zip(range(topology.n), topology.degrees, k_assignment.k, solution.p_tx, solution.p_f, solution.p_lo)
-    write_csv(path, ["id", "degree", "k", "p_tx", "p_f", "p_lo"], rows)
+    write_csv(path, ["id", "degree", "k", "p_tx", "p_f", "p_lo"], _solution_rows(topology, k_assignment, solution))
+
+
+def _solution_rows(topology, k_assignment, solution: ModelSolution):
+    """Per-node (id, degree, k, p_tx, p_f, p_lo) rows of Python ints and floats."""
+    columns = solution.p_tx.tolist(), solution.p_f.tolist(), solution.p_lo.tolist()
+    return zip(range(topology.n), topology.degrees.tolist(), k_assignment.k, *columns)

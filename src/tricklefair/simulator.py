@@ -13,10 +13,12 @@ node i draws from an independent substream, the doubles of
 ``numpy.random.default_rng((base_seed, r, i))``, which ``_rng.py`` draws
 for many nodes at once in uint64 arrays. One unstable sort orders a run's
 events; only when two event times tie is the order refined, so that ties
-break by node id, then interval. A reception at t belongs to the receiver's
-interval floor(t - phase). The decision loop compares t with the exact
-double where the receiver's next interval starts, so a delivery costs one
-float comparison, and a run stops after its last measured decision.
+break by node id, then interval. Interval m of a node starts at the double
+phase + m, and every firing instant stays inside its own interval (one that
+rounds onto the next start moves to the double below it). A reception at t
+belongs to the receiver's interval that holds t, so a delivery costs one
+float comparison with the start of the receiver's current interval, and a
+run stops after its last measured decision.
 Several K assignments on one topology share each run's draws, so they
 share its event schedule as well (common random numbers): a run builds the
 schedule once and runs the decision loop once per assignment.
@@ -62,57 +64,31 @@ class SimulationResult:
     params: TrickleParams
 
 
-def _interval_starts(phases: np.ndarray, intervals: np.ndarray) -> np.ndarray:
-    """s[i, c]: the least double s with floor(s - phases[i]) >= m = intervals[c].
-
-    A reception at t falls in node i's interval floor(t - phases[i]) under
-    float subtraction, which rises with t, so it falls in interval m or later
-    exactly when t >= s[i, c]. The rounded phases[i] + m is at most one ulp
-    off in either direction. Phases lie in [0, 1) and m >= 0 is an integer,
-    so the starts are non-negative and one ulp up or down is one step of
-    their bit patterns (below 0.0 that step gives a NaN, which never
-    qualifies).
-    """
-    s = phases[:, None] + intervals
-    bits = s.view(np.int64)
-    trial = np.subtract(s, phases[:, None])
-    bits += trial < intervals  # one ulp up where phases + m falls short
-    np.subtract(bits, 1, out=trial.view(np.int64))
-    np.subtract(trial, phases[:, None], out=trial)
-    bits -= trial >= intervals  # one ulp down where the double below also qualifies
-    return s
-
-
 def _single_run(neighbor_lists, ks_list, params: TrickleParams, draws: np.ndarray) -> list[list[int]]:
     """Transmission counts of one run per K list; ``draws`` row i is node i's substream.
 
-    The event schedule (times, interval starts, sort order, cuts and each
-    block's unpacked lists) depends only on the draws, so it is built once
-    and every K list runs the decision loop over it with its own state.
-    cnt[i] counts node i's receptions at times t >= start[i], the start of
-    its next own interval. Its own event reads the counter, zeroes it and
-    moves start[i] to the interval after. This equals counting the
-    receptions in floor(t - phase) == m, because that interval index rises
-    with t, except at an own event that rounds onto its next interval's start
-    (an offset that rounds to 1.0): a reception in the next interval before
-    it would have reset the counter, so it reads 0 if it heard one and its
-    own interval's count otherwise. Such events are found beforehand, and the
-    event blocks are cut at that next start, to save and zero the counter,
-    and at the own event, to restore or clear it.
+    Interval m of node i starts at the double phases[i] + m, and its own
+    event lies in [start + 0.5, next start): an instant that rounds onto
+    the next start moves to the double below it. The event schedule
+    (times, interval starts, sort order and each block's unpacked lists)
+    depends only on the draws, so it is built once and every K list runs
+    the decision loop over it with its own state. cnt[i] counts node i's
+    receptions at times t >= start[i], the start of the interval whose own
+    event comes next; that event reads the counter, zeroes it and moves
+    start[i] to the next interval's start. Since no own event leaves its
+    interval, every reception lands in the interval that holds it.
     """
     n, total = draws.shape[0], draws.shape[1] - 1
     phases = draws[:, 0]
     first = params.warmup_intervals
     last = params.warmup_intervals + params.measured_intervals
+    starts = phases[:, None] + np.arange(total + 1.0)
     # The same float operations as phases[i] + m + offsets[m] one event at a
     # time, in row-major (node, m) order.
-    times = (phases[:, None] + np.arange(total)) + (0.5 + 0.5 * draws[:, 1:])
-    # Interval 0 starts at the phase itself; the own event (i, m) moves the
-    # start to nexts[i, m], that of interval m + 1.
-    nexts = _interval_starts(phases, np.arange(1.0, total + 1.0))
-    late = np.flatnonzero(times >= nexts)
+    times = starts[:, :-1] + (0.5 + 0.5 * draws[:, 1:])
+    np.minimum(times, np.nextafter(starts[:, 1:], 0.0), out=times)
     end_time = times[:, last - 1].max()  # the last measured decision
-    times, nexts = times.ravel(), nexts.ravel()
+    times = times.ravel()
     order = np.argsort(times)
     times = times[order]
     if np.any(times[1:] == times[:-1]):
@@ -120,29 +96,17 @@ def _single_run(neighbor_lists, ks_list, params: TrickleParams, draws: np.ndarra
         order = order[np.lexsort((order, times))]
     # no later event changes a count
     end = int(np.searchsorted(times, end_time, side="right"))
+    order, times = order[:end], times[:end]
 
-    cut_at: dict[int, list[int]] = {}  # event position -> nodes
-    own_at: dict[int, list[int]] = {}
-    if late.size:
-        own = np.flatnonzero(np.isin(order[:end], late))
-        cuts = np.searchsorted(times, nexts[order[own]])
-        for i, cut, at in zip((order[own] // total).tolist(), cuts.tolist(), own.tolist()):
-            cut_at.setdefault(cut, []).append(i)
-            own_at.setdefault(at, []).append(i)
-    # per K list: counter, next interval start, counts, counters saved at cuts
-    states = [(ks, [0] * n, phases.tolist(), [0] * n, {}) for ks in ks_list]
+    # per K list: counter, current interval start, counts
+    states = [(ks, [0] * n, phases.tolist(), [0] * n) for ks in ks_list]
     # Events are unpacked into Python lists one block at a time, which keeps
     # the per-event objects of a large network from being alive all at once.
-    bounds = sorted({*range(0, end, _EVENT_BLOCK), *cut_at, *own_at})
-    for lo, hi in zip(bounds, bounds[1:] + [end]):
-        block = order[lo:hi]
-        nodes, intervals = np.divmod(block, total)
-        unpacked = times[lo:hi].tolist(), nodes.tolist(), intervals.tolist(), nexts[block].tolist()
-        for ks, cnt, start, counts, saved in states:
-            for i in cut_at.get(lo, ()):
-                saved[i], cnt[i] = cnt[i], 0
-            for i in own_at.get(lo, ()):  # a node's cut comes first, at this or an earlier event
-                cnt[i] = 0 if cnt[i] else saved[i]
+    for lo in range(0, end, _EVENT_BLOCK):
+        hi = lo + _EVENT_BLOCK
+        nodes, intervals = np.divmod(order[lo:hi], total)
+        unpacked = times[lo:hi].tolist(), nodes.tolist(), intervals.tolist(), starts[nodes, intervals + 1].tolist()
+        for ks, cnt, start, counts in states:
             for t, i, m, nxt in zip(*unpacked):
                 c = cnt[i]
                 cnt[i] = 0
@@ -155,7 +119,7 @@ def _single_run(neighbor_lists, ks_list, params: TrickleParams, draws: np.ndarra
                     if t >= start[j]:
                         cnt[j] += 1
         del unpacked  # before the next block's objects are built
-    return [counts for _, _, _, counts, _ in states]
+    return [counts for _, _, _, counts in states]
 
 
 def run_steady_states(topology, k_assignments, params: TrickleParams) -> list[SimulationResult]:
@@ -204,16 +168,13 @@ def _estimate(counts: np.ndarray, params: TrickleParams):
 
 def save_result(path, result: SimulationResult, extra: dict | None = None) -> None:
     """Write a simulation result as JSON: echoed parameters plus per-node records."""
+    n = result.counts.shape[1]
+    ci95 = [None] * n if result.ci95 is None else result.ci95.tolist()
     doc = {
         "params": asdict(result.params),
         "per_node": [
-            {
-                "id": i,
-                "mean_p": float(result.mean_p[i]),
-                "ci95": None if result.ci95 is None else float(result.ci95[i]),
-                "counts_per_run": [int(c) for c in result.counts[:, i]],
-            }
-            for i in range(result.counts.shape[1])
+            {"id": i, "mean_p": p, "ci95": ci, "counts_per_run": counts}
+            for i, p, ci, counts in zip(range(n), result.mean_p.tolist(), ci95, result.counts.T.tolist())
         ],
     }
     if extra:
@@ -222,5 +183,6 @@ def save_result(path, result: SimulationResult, extra: dict | None = None) -> No
 
 
 def save_result_csv(path, result: SimulationResult) -> None:
-    ci95 = [""] * len(result.mean_p) if result.ci95 is None else result.ci95
-    write_csv(path, ["id", "mean_p", "ci95"], zip(range(len(result.mean_p)), result.mean_p, ci95))
+    mean_p = result.mean_p.tolist()
+    ci95 = [""] * len(mean_p) if result.ci95 is None else result.ci95.tolist()
+    write_csv(path, ["id", "mean_p", "ci95"], zip(range(len(mean_p)), mean_p, ci95))

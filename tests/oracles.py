@@ -10,6 +10,7 @@ reference solutions. The simulator and the unit-disk edge search have
 references here too: one generator and one sorted event tuple at a time,
 and one node against all later nodes at a time.
 """
+import bisect
 import itertools
 import math
 from fractions import Fraction
@@ -263,11 +264,19 @@ def single_run(topology, ks, params, run_idx: int) -> np.ndarray:
 def decision_loop(neighbor_lists, ks, params, phases, offsets) -> np.ndarray:
     """Transmission counts from given phases and (node, interval) firing offsets.
 
-    The events are (t, node, interval) tuples sorted as tuples, so equal
-    times break by ascending node id, then interval.
+    Interval m of node i starts at phases[i] + m. A firing instant that
+    rounds onto the next interval's start becomes the double just below it,
+    and a reception at t falls in the last interval of the receiver that
+    starts at or before t. The events are (t, node, interval) tuples sorted
+    as tuples, so equal times break by ascending node id, then interval.
     """
     n, total = offsets.shape
-    events = [(phases[i] + m + offsets[i, m], i, m) for i in range(n) for m in range(total)]
+    starts = [[phases[i] + m for m in range(total + 1)] for i in range(n)]
+    events = [
+        (min(starts[i][m] + offsets[i, m], math.nextafter(starts[i][m + 1], 0.0)), i, m)
+        for i in range(n)
+        for m in range(total)
+    ]
     events.sort()
 
     counter = [0] * n
@@ -284,7 +293,7 @@ def decision_loop(neighbor_lists, ks, params, phases, offsets) -> np.ndarray:
         if first <= m < last:
             counts[i] += 1
         for j in neighbor_lists[i]:
-            mj = math.floor(t - phases[j])
+            mj = bisect.bisect_right(starts[j], t) - 1
             if current[j] != mj:
                 current[j] = mj
                 counter[j] = 0
