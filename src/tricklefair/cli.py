@@ -2,8 +2,8 @@
 
 Subcommands: gen (topologies), solve (probability model), simulate
 (discrete-event runs), compare (model vs simulation), reproduce (bundled
-reference scenarios). Exit codes: 0 success, 2 usage error, 3 solver
-non-convergence, 4 I/O error.
+reference scenarios). Exit codes: 0 success, 2 usage error or a request
+too large for memory, 3 solver non-convergence, 4 I/O error.
 """
 from __future__ import annotations
 
@@ -315,6 +315,9 @@ def main(argv=None) -> int:
         return EXIT_IO
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except MemoryError as exc:  # a request larger than the memory available
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
 

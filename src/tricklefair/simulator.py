@@ -19,9 +19,10 @@ rounds onto the next start moves to the double below it). A reception at t
 belongs to the receiver's interval that holds t, so a delivery costs one
 float comparison with the start of the receiver's current interval, and a
 run stops after its last measured decision.
-Several K assignments on one topology share each run's draws, so they
-share its event schedule as well (common random numbers): a run builds the
-schedule once and runs the decision loop once per assignment.
+K assignments on one topology share each run's draws and so its event
+schedule (common random numbers): a run builds it once, and the decision
+loop runs over it once per assignment, reading memoryviews of the sorted
+times, node ids and next interval starts and a measured-flag column.
 """
 from __future__ import annotations
 
@@ -34,7 +35,6 @@ from ._rng import substreams
 from .io import _is_int, write_csv, write_json
 
 CI95_Z = 1.96  # normal approximation quantile for two-sided 95%
-_EVENT_BLOCK = 1 << 12
 
 
 @dataclass(frozen=True)
@@ -67,23 +67,20 @@ class SimulationResult:
 def _single_run(neighbor_lists, ks_list, params: TrickleParams, draws: np.ndarray) -> list[list[int]]:
     """Transmission counts of one run per K list; ``draws`` row i is node i's substream.
 
-    Interval m of node i starts at the double phases[i] + m, and its own
-    event lies in [start + 0.5, next start): an instant that rounds onto
-    the next start moves to the double below it. The event schedule
-    (times, interval starts, sort order and each block's unpacked lists)
-    depends only on the draws, so it is built once and every K list runs
-    the decision loop over it with its own state. cnt[i] counts node i's
-    receptions at times t >= start[i], the start of the interval whose own
-    event comes next; that event reads the counter, zeroes it and moves
-    start[i] to the next interval's start. Since no own event leaves its
-    interval, every reception lands in the interval that holds it.
+    Node i's phase is draws[i, 0]; interval m starts at the double
+    phase + m, and its own event lies in [start + 0.5, next start): an
+    instant that rounds onto the next start moves to the double below it.
+    The schedule depends only on the draws, so it is built once, and each K
+    list runs the decision loop over memoryviews of it with its own state.
+    cnt[i] counts node i's receptions at t >= start[i], the start of the
+    interval whose own event comes next; that event reads the counter,
+    zeroes it and sets start[i] to the next start. Since no own event leaves
+    its interval, every reception lands in the interval that holds it.
     """
     n, total = draws.shape[0], draws.shape[1] - 1
-    phases = draws[:, 0]
-    first = params.warmup_intervals
-    last = params.warmup_intervals + params.measured_intervals
-    starts = phases[:, None] + np.arange(total + 1.0)
-    # The same float operations as phases[i] + m + offsets[m] one event at a
+    first, last = params.warmup_intervals, params.warmup_intervals + params.measured_intervals
+    starts = draws[:, :1] + np.arange(total + 1.0)
+    # The same float operations as phase + m + offsets[m] one event at a
     # time, in row-major (node, m) order.
     times = starts[:, :-1] + (0.5 + 0.5 * draws[:, 1:])
     np.minimum(times, np.nextafter(starts[:, 1:], 0.0), out=times)
@@ -98,28 +95,27 @@ def _single_run(neighbor_lists, ks_list, params: TrickleParams, draws: np.ndarra
     end = int(np.searchsorted(times, end_time, side="right"))
     order, times = order[:end], times[:end]
 
-    # per K list: counter, current interval start, counts
-    states = [(ks, [0] * n, phases.tolist(), [0] * n) for ks in ks_list]
-    # Events are unpacked into Python lists one block at a time, which keeps
-    # the per-event objects of a large network from being alive all at once.
-    for lo in range(0, end, _EVENT_BLOCK):
-        hi = lo + _EVENT_BLOCK
-        nodes, intervals = np.divmod(order[lo:hi], total)
-        unpacked = times[lo:hi].tolist(), nodes.tolist(), intervals.tolist(), starts[nodes, intervals + 1].tolist()
-        for ks, cnt, start, counts in states:
-            for t, i, m, nxt in zip(*unpacked):
-                c = cnt[i]
-                cnt[i] = 0
-                start[i] = nxt
-                if c >= ks[i]:
-                    continue
-                if first <= m < last:
-                    counts[i] += 1
-                for j in neighbor_lists[i]:
-                    if t >= start[j]:
-                        cnt[j] += 1
-        del unpacked  # before the next block's objects are built
-    return [counts for _, _, _, counts in states]
+    nodes, intervals = np.divmod(order, total)
+    measured = ((intervals >= first) & (intervals < last)).tobytes()
+    del intervals  # one whole-run column fewer alive during the gather and the loop
+    order += nodes + 1  # the flat index of starts[nodes, intervals + 1]
+    events = memoryview(times), memoryview(nodes), measured, memoryview(starts.ravel()[order])
+    result = []
+    for ks in ks_list:
+        cnt, start, counts = [0] * n, starts[:, 0].tolist(), [0] * n
+        for t, i, flag, nxt in zip(*events):
+            c = cnt[i]
+            cnt[i] = 0
+            start[i] = nxt
+            if c >= ks[i]:
+                continue
+            if flag:
+                counts[i] += 1
+            for j in neighbor_lists[i]:
+                if t >= start[j]:
+                    cnt[j] += 1
+        result.append(counts)
+    return result
 
 
 def run_steady_states(topology, k_assignments, params: TrickleParams) -> list[SimulationResult]:

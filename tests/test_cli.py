@@ -515,6 +515,28 @@ def test_cli_fuzz_reproduce_arguments(table, seed, runs, intervals):
     assert err == "" if valid else err.startswith("error: ")
 
 
+# Each request is petabytes, past the 128 TiB user address space, so it
+# fails at allocation whatever the overcommit setting and commits nothing.
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", "--fixed-k=1", "--intervals=1000000000000", "--output=s.json"],
+        ["gen", "random", "--n=100000000000000", "--side=10", "--range=1", "--output=r.json"],
+        ["reproduce", "--table=1", "--intervals=1000000000000", "--out=rep"],
+    ],
+)
+def test_request_too_large_for_memory_is_exit_2(tmp_path, grid_file, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    if argv[0] == "simulate":
+        argv = [*argv, f"--topo={grid_file}"]
+    code, err = _run_main(argv)
+    assert code == 2
+    assert err.startswith("error: out of memory: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+    if argv[0] == "reproduce":
+        assert json.loads((tmp_path / "rep" / "manifest.json").read_text())["status"] != "complete"
+
+
 def test_solve_accepts_k_past_int64(tmp_path, grid_file, capsys):
     # every K > y acts as K = y + 1 in the model; the files keep the K given
     huge = 2**63

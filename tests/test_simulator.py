@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -122,6 +123,8 @@ def test_tied_event_times_break_by_node_then_interval():
     for ks, counts in zip(ks_list, got):
         want = decision_loop(topo.neighbor_lists, ks, params, draws[:, 0], 0.5 + 0.5 * draws[:, 1:])
         assert counts == want.tolist()
+        # one K list alone reads the same schedule, so no state leaks between lists
+        assert _single_run(topo.neighbor_lists, [ks], params, draws) == [counts]
 
 
 # The largest draw below 1: its offset 0.5 + 0.5 d rounds to exactly 1.0.
@@ -143,7 +146,7 @@ def test_offsets_that_round_to_one_match_the_decision_loop(case, rows, top, inte
     # stays in its own interval. Nodes that share a row of draws fire at the
     # same times, so a lower id delivers at that moved instant, before the
     # own event, and the reception counts in the own event's interval.
-    # K = 1, 2, 3 share one schedule.
+    # K = 1, 2, 3 share one schedule, and each alone reads the same counts.
     topo, _ = case
     params = TrickleParams(measured_intervals=intervals, warmup_intervals=warmup, runs=1)
     rng = np.random.default_rng(seed)
@@ -155,6 +158,7 @@ def test_offsets_that_round_to_one_match_the_decision_loop(case, rows, top, inte
     for ks, counts in zip(ks_list, got):
         want = decision_loop(topo.neighbor_lists, ks, params, draws[:, 0], 0.5 + 0.5 * draws[:, 1:])
         assert counts == want.tolist(), ks[0]
+        assert _single_run(topo.neighbor_lists, [ks], params, draws) == [counts], ks[0]
 
 
 @settings(max_examples=50, deadline=None, derandomize=True, database=None)
@@ -189,14 +193,30 @@ def test_shared_schedule_counts_equal_separate_runs(name, grid):
 
 
 def test_large_network_matches_reference_simulator():
-    # big enough that the event unpacking splits into several blocks
-    # (runs split across hash-and-step blocks are covered by
-    # test_substreams_match_default_rng); two K assignments share the blocks
+    # about 8,500 events per run from 700 nodes; two K assignments share
+    # each run's schedule (runs split across hash-and-step blocks are
+    # covered by test_substreams_match_default_rng)
     topo = generate_random_udg(700, 26.5, 1.6, 3)
     kas = [assign_k(topo, fixed_policy(k)) for k in (1, 2)]
     params = TrickleParams(runs=2, base_seed=11)
     for ka, res in zip(kas, run_steady_states(topo, kas, params)):
         assert np.array_equal(res.counts, [single_run(topo, ka.k, params, r) for r in range(2)])
+
+
+def test_one_large_run_stays_within_a_few_mib():
+    # The decision loop reads memoryviews, so no per-event Python object
+    # outlives its event: about 2.5 MiB at 2000 nodes, where lists of a whole
+    # run's events would take the peak past 7 MiB.
+    topo = generate_random_udg(2000, 44.7, 1.22, 7)
+    ka = assign_k(topo, fixed_policy(2))
+    params = TrickleParams(runs=1, measured_intervals=20)
+    tracemalloc.start()
+    try:
+        run_steady_state(topo, ka, params)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 * 2**20, peak
 
 
 def test_two_node_pair_mean_near_model_value(two_node):
