@@ -135,7 +135,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    sol = io.read_records(args.model, ("converged", "iterations", "residual"), ("degree", "k", "p_tx"))
+    sol = io.read_records(args.model, ("converged", "iterations", "residual"), ("p_tx",), ("degree", "k"))
     res = io.read_records(args.sim, ("params",), ("mean_p",))
     comparison = metrics.compare([rec["p_tx"] for rec in sol], [rec["mean_p"] for rec in res])
     degrees = [rec["degree"] for rec in sol]
@@ -166,6 +166,12 @@ def _table_configs(table: int):
     ]
 
 
+def _write_failed(manifest_path, manifest, error: str) -> None:
+    manifest["status"] = "failed"
+    manifest["error"] = error
+    io.write_json(manifest_path, manifest)
+
+
 def cmd_reproduce(args) -> int:
     out = Path(args.out)
     if out.exists() and any(out.iterdir()) and not args.force:
@@ -194,37 +200,39 @@ def cmd_reproduce(args) -> int:
     io.write_json(manifest_path, manifest)
 
     stats = list(_STATISTICS) if args.table == 3 else list(_STATISTICS)[1:]
-    assignments, solutions = [], []
-    for label, policy in configs:
-        assignment = redundancy.assign_k(topo, policy)
-        solution = model.solve_fixed_point(topo, assignment)
-        model.save_solution(out / f"model_{label}.json", topo, assignment, solution)
-        model.save_solution_csv(out / f"model_{label}.csv", topo, assignment, solution)
-        if not solution.converged:
-            manifest["status"] = "failed"
-            manifest["error"] = f"configuration {label} did not converge"
-            io.write_json(manifest_path, manifest)
-            print(f"error: configuration {label} did not converge", file=sys.stderr)
-            return EXIT_NO_CONVERGENCE
-        assignments.append(assignment)
-        solutions.append(solution)
+    try:
+        assignments, solutions = [], []
+        for label, policy in configs:
+            assignment = redundancy.assign_k(topo, policy)
+            solution = model.solve_fixed_point(topo, assignment)
+            model.save_solution(out / f"model_{label}.json", topo, assignment, solution)
+            model.save_solution_csv(out / f"model_{label}.csv", topo, assignment, solution)
+            if not solution.converged:
+                _write_failed(manifest_path, manifest, f"configuration {label} did not converge")
+                print(f"error: configuration {label} did not converge", file=sys.stderr)
+                return EXIT_NO_CONVERGENCE
+            assignments.append(assignment)
+            solutions.append(solution)
 
-    # one call, so the configurations share each run's event schedule
-    results = simulator.run_steady_states(topo, assignments, params)
-    columns = []
-    for (label, _), solution, result in zip(configs, solutions, results):
-        simulator.save_result(out / f"sim_{label}.json", result)
-        simulator.save_result_csv(out / f"sim_{label}.csv", result)
-        for source, probs in (("model", solution.p_tx), ("sim", result.mean_p)):
-            rep = metrics.fairness(probs, source=source)
-            manifest.setdefault("fairness", {}).setdefault(label, {})[source] = asdict(rep)
-            columns.append((f"{source}_{label}", [getattr(rep, _STATISTICS[s]) for s in stats]))
+        # one call, so the configurations share each run's event schedule
+        results = simulator.run_steady_states(topo, assignments, params)
+        columns = []
+        for (label, _), solution, result in zip(configs, solutions, results):
+            simulator.save_result(out / f"sim_{label}.json", result)
+            simulator.save_result_csv(out / f"sim_{label}.csv", result)
+            for source, probs in (("model", solution.p_tx), ("sim", result.mean_p)):
+                rep = metrics.fairness(probs, source=source)
+                manifest.setdefault("fairness", {}).setdefault(label, {})[source] = asdict(rep)
+                columns.append((f"{source}_{label}", [getattr(rep, _STATISTICS[s]) for s in stats]))
 
-    io.write_csv(
-        rollup_path,
-        ["statistic"] + [name for name, _ in columns],
-        [[stat] + [vals[row] for _, vals in columns] for row, stat in enumerate(stats)],
-    )
+        io.write_csv(
+            rollup_path,
+            ["statistic"] + [name for name, _ in columns],
+            [[stat] + [vals[row] for _, vals in columns] for row, stat in enumerate(stats)],
+        )
+    except (OSError, ValueError, MemoryError) as exc:  # main maps each to its exit code
+        _write_failed(manifest_path, manifest, str(exc) or type(exc).__name__)
+        raise
 
     width = max(len(s) for s in stats) + 2
     col = max(12, max(len(name) for name, _ in columns) + 2)

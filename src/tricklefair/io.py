@@ -52,13 +52,14 @@ def read_object(path, error=ValueError) -> dict:
     return doc
 
 
-def read_records(path, required, fields) -> list[dict]:
+def read_records(path, required, fields, integers=()) -> list[dict]:
     """Read the per-node records of a JSON file, sorted by id.
 
     The top-level value must be an object holding every field named in
     required and a "per_node" list of objects. Each record needs an integer
-    "id" and a finite number in every field named in fields; the ids must be
-    exactly 0..n-1. Anything else raises ValueError naming the file.
+    "id", a finite number in every field named in fields and an integer in
+    every field named in integers; the ids must be exactly 0..n-1. Anything
+    else raises ValueError naming the file.
     """
     doc = read_object(path)
     for field in (*required, "per_node"):
@@ -74,6 +75,9 @@ def read_records(path, required, fields) -> list[dict]:
         for field in fields:
             if not _is_finite_number(rec.get(field)):
                 raise ValueError(f"{path}: node {i}: field {field!r} must be a finite number")
+        for field in integers:
+            if not _is_int(rec.get(field)):
+                raise ValueError(f"{path}: node {i}: field {field!r} must be an integer")
     records = sorted(records, key=lambda rec: rec["id"])
     if [rec["id"] for rec in records] != list(range(len(records))):
         raise ValueError(f"{path}: per-node ids must be exactly 0..{len(records) - 1}")

@@ -93,7 +93,7 @@ def export_surface(topology, probabilities, path) -> None:
 
 
 def save_comparison_csv(path, degrees, ks, comparison: Comparison) -> None:
-    """Per-node comparison rows: id,degree,k,p_model,p_sim,abs_diff."""
+    """Per-node comparison rows: id,degree,k,p_model,p_sim,abs_diff; degrees and ks as given."""
     columns = comparison.p_model.tolist(), comparison.p_sim.tolist(), comparison.abs_diff.tolist()
-    rows = zip(range(len(columns[0])), map(int, degrees), map(int, ks), *columns)
+    rows = zip(range(len(columns[0])), degrees, ks, *columns)
     write_csv(path, ["id", "degree", "k", "p_model", "p_sim", "abs_diff"], rows)

@@ -65,8 +65,8 @@ class SolverConfig:
 class ModelSolution:
     """Converged (or flagged) per-node probabilities with solver diagnostics.
 
-    defects holds max|F(p) - p| at every iterate, the start first, so that
-    iterations == len(defects) and residual == defects[-1]. Newton step s
+    defects holds max|F(p) - p| at every iterate, the start first;
+    iterations is len(defects) and residual is defects[-1]. Newton step s
     rejected halvings[s] trial steps and took gmres_iterations[s] GMRES
     iterations. A halvings entry past the last step is a line search that
     found no step that lowered the defect, which ends the solve.
@@ -75,12 +75,18 @@ class ModelSolution:
     p_tx: np.ndarray
     p_f: np.ndarray
     p_lo: np.ndarray
-    iterations: int
-    residual: float
     converged: bool
     defects: tuple[float, ...]
     halvings: tuple[int, ...]
     gmres_iterations: tuple[int, ...]
+
+    @property
+    def iterations(self) -> int:
+        return len(self.defects)
+
+    @property
+    def residual(self) -> float:
+        return self.defects[-1]
 
 
 def _p_first(y: int, k: int) -> float:
@@ -147,19 +153,17 @@ class _SweepPlan:
       updates only the first min(K, c + 2) states; the states it skips hold
       exact zeros.
     - Jacobian: the edges are the (node, c-th neighbor) pairs of the steps in
-      order, edge_rows and edge_cols. jacobian reruns the DP, copying before
-      step c the min(K, c + 1) states that can be nonzero into a prefix
-      buffer sized for the largest batch, K = 1 included, then runs the same
-      steps backward from -w t in place of 1: before backward step c, w
-      holds -w t times P(exactly j of the neighbors after c transmitted), and
-      the sum over m of prefix_c[m] * suffix[K - 1 - m] is the column's term
-      of dF_i/dp_j. Each step leaves its terms in its cells of x, and one
-      reduceat sums them by edge. The edge arrays, the prefix buffer and the
-      backward views are built by the first jacobian call, so a plan that
-      only evaluates F, as update_map without a plan does, holds none of them.
+      order, edge_rows and edge_cols. evaluate copies, before step c, the
+      min(K, c + 1) states that can be nonzero into the step's own region of
+      a prefix buffer that holds every batch, K = 1 included. jacobian runs
+      the same steps backward from -w t in place of 1: before backward step
+      c, w holds -w t times P(exactly j of the neighbors after c
+      transmitted), and the sum over m of prefix_c[m] * suffix[K - 1 - m] is
+      the column's term of dF_i/dp_j. Each step leaves its terms in its cells
+      of x, and one reduceat sums them by edge.
 
     The plan holds 24 bytes per (step, column) pair: the neighbor id, t and
-    x; the prefix adds 8 x min(K, c + 1) bytes per pair of the largest batch.
+    x; the prefix adds 8 x min(K, c + 1) bytes per pair of every batch.
     Its buffers make evaluate and jacobian non-reentrant.
     """
 
@@ -176,6 +180,7 @@ class _SweepPlan:
         self.x = np.empty(cells)  # P(fired earlier and transmitted | t)
         layouts = []
         dp_size = 0  # largest over the batches
+        prefix_size = 0  # min(K, c + 1) rows of the columns of every step c, summed over the batches
         for k in sorted(set(ks[~self.forced].tolist())):
             nodes = np.flatnonzero((ks == k) & ~self.forced)
             nodes = nodes[np.argsort(-degrees[nodes], kind="stable")]  # ties stay by id
@@ -184,13 +189,14 @@ class _SweepPlan:
             active = np.count_nonzero(ys[:, None] > np.arange(ys[0]), axis=0)  # nodes that take step c
             layouts.append((k, nodes, starts, active))
             dp_size = max(dp_size, (k + 1) * int(starts[-1]))
-        # one DP array and difference buffer, shared by the batches
-        dp, diffs = np.empty(dp_size), np.empty(dp_size)
+            prefix_size += int(np.minimum(k, np.arange(1, len(active) + 1)) @ starts[active])
+        # one DP array and difference buffer, shared by the batches; a prefix region per step of every batch
+        dp, diffs, prefix = np.empty(dp_size), np.empty(dp_size), np.empty(prefix_size)
         self.gather = np.empty(cells, dtype=np.intp)
         self.col_t = np.empty(cells)
+        edge_rows, edge_starts = [np.empty(0, dtype=np.intp)], [np.empty(0, dtype=np.intp)]
         self.batches = []
-        self._steps = None  # the Jacobian's, built by its first call
-        offset = 0
+        offset = used = 0  # of x and of the prefix buffer
         rules: dict[int, tuple[np.ndarray, np.ndarray]] = {}  # Gauss-Legendre rules by size
         for k, nodes, starts, active in layouts:
             sizes = np.diff(starts)
@@ -201,88 +207,63 @@ class _SweepPlan:
             # transmitted earlier) at the column's t, for j < K
             w = dp[: (k + 1) * len(times)].reshape(k + 1, len(times))
             diff = diffs[: k * len(times)].reshape(k, len(times))
-            views = []
+            forward, backward = [], []
             for c, a in enumerate(active.tolist()):
                 b = int(starts[a])
                 neighbors = [lists[i][c] for i in nodes[:a].tolist()]
                 self.gather[offset : offset + b] = np.repeat(neighbors, sizes[:a])
                 self.col_t[offset : offset + b] = times[:b]
-                r = min(k, c + 2)
-                views.append((w[1 : r + 1, :b], w[:r, :b], diff[:r, :b], self.x[offset : offset + b]))
-                offset += b
-            self.batches.append((nodes, w, weights, -weights * times, starts, active, views, diff))
-
-    def _build_jacobian(self) -> None:
-        """The edge arrays, the prefix buffer and the backward views, which F alone never needs."""
-        edge_rows, edge_starts = [np.empty(0, dtype=np.intp)], [np.empty(0, dtype=np.intp)]
-        self._steps = []
-        prefix_size = 0  # min(K, c + 1) rows of the columns of every step c, for the largest batch
-        for _, w, _, _, starts, active, _, _ in self.batches:
-            rows = np.minimum(len(w) - 1, np.arange(1, len(active) + 1))
-            prefix_size = max(prefix_size, int(rows @ starts[active]))
-        prefix = np.empty(prefix_size)
-        offset = 0
-        for nodes, w, _, _, starts, active, views, diff in self.batches:
-            k, steps = len(w) - 1, []
-            used = 0  # of the prefix buffer
-            for c, a in enumerate(active.tolist()):
-                b = int(starts[a])
                 edge_rows.append(nodes[:a])
                 edge_starts.append(offset + starts[:a])
                 # the suffix after backward step c spans at most y - c neighbors
                 # of the batch's largest degree y, which is its step count
                 r, rp, rs = min(k, c + 2), min(k, c + 1), min(k, len(active) - c + 1)
-                backward = views[c] if rs == r else (w[1 : rs + 1, :b], w[:rs, :b], diff[:rs, :b], views[c][3])
                 pref = prefix[used : used + rp * b].reshape(rp, b)
-                steps.append((w[1 : rp + 1, :b], pref, w[k + 1 - rp :, :b][::-1], backward))
-                used += rp * b
+                x = self.x[offset : offset + b]
+                forward.append((w[1 : rp + 1, :b], pref, w[1 : r + 1, :b], w[:r, :b], diff[:r, :b], x))
+                backward.append((pref, w[k + 1 - rp :, :b][::-1], w[1 : rs + 1, :b], w[:rs, :b], diff[:rs, :b], x))
                 offset += b
-            self._steps.append(steps)
+                used += rp * b
+            self.batches.append((nodes, w, weights, -weights * times, starts, forward, backward[::-1]))
         self.edge_rows = np.concatenate(edge_rows)
         self.edge_starts = np.concatenate(edge_starts)  # first cell of every edge
         self.edge_cols = self.gather[self.edge_starts]
         self.jac = np.empty(len(self.edge_rows))
 
-    def _fill(self, p: np.ndarray) -> None:
+    def evaluate(self, p: np.ndarray) -> np.ndarray:
+        """F(p) of every node against the iterate p; 1 where y < K.
+
+        Leaves x = p[gather] * t and every step's prefix behind, the state
+        that jacobian reads.
+        """
+        out = np.ones(len(p))
         np.take(p, self.gather, out=self.x, mode="clip")
         np.multiply(self.x, self.col_t, out=self.x)
-
-    def evaluate(self, p: np.ndarray) -> np.ndarray:
-        """F(p) of every node against the iterate p; 1 where y < K."""
-        out = np.ones(len(p))
-        self._fill(p)
-        multiply, subtract = np.multiply, np.subtract
-        for nodes, w, weights, _, starts, _, views, _ in self.batches:
+        multiply, subtract, copyto = np.multiply, np.subtract, np.copyto
+        for nodes, w, weights, _, starts, forward, _ in self.batches:
             w.fill(0.0)
             w[1] = 1.0
-            for w_r, w_below, diff, x in views:
+            for w_p, pref, w_r, w_below, diff, x in forward:
+                copyto(pref, w_p)
                 subtract(w_r, w_below, out=diff)
                 multiply(diff, x, out=diff)
                 subtract(w_r, diff, out=w_r)
             out[nodes] = np.add.reduceat(weights * w.sum(axis=0), starts[:-1])
         return out
 
-    def jacobian(self, p: np.ndarray) -> np.ndarray:
-        """dF_i/dp_j at the iterate p for every edge (edge_rows[e], edge_cols[e]).
+    def jacobian(self) -> np.ndarray:
+        """dF_i/dp_j at the iterate of the last evaluate, for every edge (edge_rows[e], edge_cols[e]).
 
-        Returns the plan's own buffer, which the next call overwrites; x is
-        left holding the per-cell terms.
+        Runs only the backward DP, from the prefix and x that evaluate left,
+        and overwrites x with the per-cell terms, so every call needs an
+        evaluate before it. Returns the plan's own buffer, which the next
+        call overwrites.
         """
-        if self._steps is None:
-            self._build_jacobian()
-        self._fill(p)
         multiply, subtract = np.multiply, np.subtract
-        for (_, w, _, neg_wt, _, _, views, _), steps in zip(self.batches, self._steps):
-            w.fill(0.0)
-            w[1] = 1.0
-            for (w_r, w_below, diff, x), (w_p, pref, _, _) in zip(views, steps):
-                np.copyto(pref, w_p)
-                subtract(w_r, w_below, out=diff)
-                multiply(diff, x, out=diff)
-                subtract(w_r, diff, out=w_r)
+        for _, w, _, neg_wt, _, _, backward in self.batches:
             w.fill(0.0)
             w[1] = neg_wt
-            for _, pref, suffix, (w_r, w_below, diff, x) in reversed(steps):
+            for pref, suffix, w_r, w_below, diff, x in backward:
                 multiply(pref, suffix, out=pref)
                 subtract(w_r, w_below, out=diff)
                 multiply(diff, x, out=diff)
@@ -297,9 +278,10 @@ def update_map(topology, k_assignment, current_p, *, plan: _SweepPlan | None = N
     Nodes with fewer neighbors than their redundancy constant map to exactly
     1; all others map to the integral F evaluated against current_p. Output
     is clipped to [0, 1] against rounding. plan holds this topology's gather
-    indices, DP buffers and their per-step views, built once;
+    indices, DP buffers, prefix and their per-step views, built once;
     solve_fixed_point passes the one it built and calls this function once
-    per evaluation of F, and the plan is built here when omitted.
+    per evaluation of F, and the plan is built here when omitted. The plan
+    keeps the forward state of this evaluation for its jacobian.
     """
     p = np.asarray(current_p, dtype=float)
     if p.shape != (topology.n,):
@@ -385,7 +367,7 @@ def solve_fixed_point(topology, k_assignment, config: SolverConfig | None = None
     halvings: list[int] = []
     krylov: list[int] = []
     while defects[-1] >= cfg.tolerance and len(defects) < cfg.max_iterations:
-        jac = plan.jacobian(p)
+        jac = plan.jacobian()  # at p: the last evaluation of F was the accepted one
         rows, cols = plan.edge_rows, plan.edge_cols
         delta, its = _gmres(
             lambda v: v - np.bincount(rows, weights=jac * v[cols], minlength=len(v)),
@@ -412,8 +394,6 @@ def solve_fixed_point(topology, k_assignment, config: SolverConfig | None = None
         p_tx=p,
         p_f=plan.p_f,
         p_lo=f - plan.p_f,
-        iterations=len(defects),
-        residual=defects[-1],
         converged=defects[-1] < cfg.tolerance,
         defects=tuple(defects),
         halvings=tuple(halvings),
@@ -425,8 +405,8 @@ def save_solution(path, topology, k_assignment, solution: ModelSolution, extra: 
     """Write a solution as JSON: per-node records plus solver diagnostics."""
     doc = {
         "converged": bool(solution.converged),
-        "iterations": int(solution.iterations),
-        "residual": float(solution.residual),
+        "iterations": solution.iterations,
+        "residual": solution.residual,
         "policy": k_assignment.policy,
         "solver": {
             "defects": list(solution.defects),

@@ -238,6 +238,21 @@ def test_compare_rejects_malformed_records(tmp_path, grid_file, capsys, which, m
     assert not out.exists()
 
 
+@pytest.mark.parametrize("field, value", [("degree", 2.7), ("k", 1.5), ("degree", 3.0), ("k", True)])
+def test_compare_rejects_non_integer_degree_and_k(tmp_path, grid_file, capsys, field, value):
+    # the comparison CSV writes degree and k as given, so a fraction must not reach it
+    sol, sim, out = tmp_path / "sol.json", tmp_path / "sim.json", tmp_path / "cmp.csv"
+    run_cli("solve", "--topo", grid_file, "--fixed-k", 2, "-o", sol)
+    run_cli("simulate", "--topo", grid_file, "--fixed-k", 2, "--runs", 2, "--intervals", 2, "-o", sim)
+    doc = json.loads(sol.read_text())
+    doc["per_node"][7][field] = value
+    sol.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert run_cli("compare", "--model", sol, "--sim", sim, "-o", out) == 2
+    assert f"node 7: field {field!r} must be an integer" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "args, message",
     [
@@ -534,7 +549,18 @@ def test_request_too_large_for_memory_is_exit_2(tmp_path, grid_file, monkeypatch
     assert err.startswith("error: out of memory: ") and err.count("\n") == 1
     assert "Traceback" not in err
     if argv[0] == "reproduce":
-        assert json.loads((tmp_path / "rep" / "manifest.json").read_text())["status"] != "complete"
+        manifest = json.loads((tmp_path / "rep" / "manifest.json").read_text())
+        assert manifest["status"] == "failed" and manifest["error"]
+
+
+def test_reproduce_io_error_is_exit_4_and_marks_the_manifest_failed(tmp_path):
+    out = tmp_path / "t1"
+    (out / "model_k1.json").mkdir(parents=True)  # the solution file cannot be opened for writing
+    code, err = _run_main(["reproduce", "--table=1", f"--out={out}", "--force", "--runs=2", "--intervals=2"])
+    assert code == 4
+    assert err.startswith("error: ") and err.count("\n") == 1 and "model_k1.json" in err
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["status"] == "failed" and "model_k1.json" in manifest["error"]
 
 
 def test_solve_accepts_k_past_int64(tmp_path, grid_file, capsys):

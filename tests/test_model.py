@@ -290,15 +290,6 @@ class TestUpdateMap:
         with pytest.raises(ValueError, match="lie in"):
             update_map(two_node, ka, [math.nan, 0.5])
 
-    def test_builds_no_jacobian_state(self, grid, monkeypatch):
-        # F alone never reads the edge arrays, prefix buffer or backward views
-        def refuse(self):
-            raise AssertionError("Jacobian state built")
-
-        monkeypatch.setattr(_SweepPlan, "_build_jacobian", refuse)
-        for k in (1, 3):
-            assert update_map(grid, assign_k(grid, fixed_policy(k)), np.full(grid.n, 0.5)).shape == (grid.n,)
-
     @pytest.mark.parametrize("p", [[0.5], [0.5, 0.5, 0.5], [[0.5, 0.5]]])
     def test_rejects_wrong_shape(self, two_node, p):
         with pytest.raises(ValueError, match=r"current_p must have shape \(2,\)"):
@@ -554,8 +545,10 @@ class TestNewton:
         # F is affine in each p_j, so central differences of the scalar oracle
         # are exact up to rounding; the cases must cover isolated nodes, forced
         # nodes that are some free node's neighbor, K = 1, whose one prefix
-        # row meets one suffix row, and K > 2, whose first steps trim rows and
-        # keep fewer than K prefix rows
+        # row meets one suffix row, K > 2, whose first steps trim rows and
+        # keep fewer than K prefix rows, and two free K batches, whose
+        # prefixes must both survive evaluate. jacobian reads the last
+        # evaluate, so F runs at another iterate first.
         h = 1e-6
         seen = set()
 
@@ -566,8 +559,13 @@ class TestNewton:
             ks = np.array(ka.k)
             forced = topo.degrees < ks
             plan = _SweepPlan(topo, ka)
+            plan.evaluate(1.0 - p)
+            plan.evaluate(p)
             jac = np.zeros((topo.n, topo.n))
-            jac[plan.edge_rows, plan.edge_cols] = plan.jacobian(p)
+            jac[plan.edge_rows, plan.edge_cols] = plan.jacobian()
+            fresh = _SweepPlan(topo, ka)
+            fresh.evaluate(p)
+            assert np.array_equal(fresh.jacobian(), jac[plan.edge_rows, plan.edge_cols])
             for j in range(topo.n):
                 up, down = p.copy(), p.copy()
                 up[j] = min(max(p[j], h), 1 - h) + h
@@ -582,9 +580,11 @@ class TestNewton:
                 seen.add("K = 1")
             if np.any(~forced & (ks > 2)):
                 seen.add("trimmed")
+            if len(set(ks[~forced].tolist())) >= 2:
+                seen.add("two K batches")
 
         check()
-        assert seen == {"isolated", "forced neighbor", "K = 1", "trimmed"}
+        assert seen == {"isolated", "forced neighbor", "K = 1", "trimmed", "two K batches"}
 
     @pytest.mark.parametrize("n", [40, 60, 100])
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
@@ -605,7 +605,7 @@ class TestNewton:
         ],
     )
     def test_all_forced_returns_at_the_start_without_a_jacobian(self, monkeypatch, topology, ks):
-        def refuse(self, p):
+        def refuse(self):
             raise AssertionError("jacobian built")
 
         monkeypatch.setattr(_SweepPlan, "jacobian", refuse)
