@@ -2,14 +2,21 @@
 
 JSON is UTF-8 with a 2-space indent, sorted keys and one trailing newline.
 CSV comes from csv.writer with its defaults (comma separated, CRLF line
-ends); a float, Python or numpy float64 alike, is written with the shortest
-digits that read back to the same value, as repr gives them. JSON files are
-read through read_object; per-node files through read_records, which checks
-every record a caller indexes before handing it out.
+ends, None as an empty cell); a float, Python or numpy float64 alike, is
+written with the shortest digits that read back to the same value, as repr
+gives them. JSON files are read through read_object.
+
+Only this module knows the per-node layout. Its writers take columns, a
+dict from field name to a sequence of one value per node: write_records
+writes record i as {"id": i} plus row i of every column into a JSON
+"per_node" list, and write_records_csv writes the same rows under the
+header id and the column names. read_records reads the JSON form back,
+checking every record a caller indexes before handing it out.
 """
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 import math
 
@@ -25,6 +32,18 @@ def write_csv(path, header, rows) -> None:
         writer = csv.writer(fh)
         writer.writerow(header)
         writer.writerows(rows)
+
+
+def write_records(path, columns: dict, **fields) -> None:
+    """Write fields plus a "per_node" list of records {"id": i, name: columns[name][i], ...}."""
+    names = ("id", *columns)
+    records = [dict(zip(names, row)) for row in zip(itertools.count(), *columns.values())]
+    write_json(path, {**fields, "per_node": records})
+
+
+def write_records_csv(path, columns: dict) -> None:
+    """Write one row id, columns[name][i], ... per node under the header id and the column names."""
+    write_csv(path, ["id", *columns], zip(itertools.count(), *columns.values()))
 
 
 def _is_int(value) -> bool:

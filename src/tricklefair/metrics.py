@@ -5,7 +5,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .io import write_csv
+from .io import write_csv, write_records_csv
 
 
 @dataclass(frozen=True)
@@ -95,5 +95,4 @@ def export_surface(topology, probabilities, path) -> None:
 def save_comparison_csv(path, degrees, ks, comparison: Comparison) -> None:
     """Per-node comparison rows: id,degree,k,p_model,p_sim,abs_diff; degrees and ks as given."""
     columns = comparison.p_model.tolist(), comparison.p_sim.tolist(), comparison.abs_diff.tolist()
-    rows = zip(range(len(columns[0])), degrees, ks, *columns)
-    write_csv(path, ["id", "degree", "k", "p_model", "p_sim", "abs_diff"], rows)
+    write_records_csv(path, dict(zip(("degree", "k", "p_model", "p_sim", "abs_diff"), (degrees, ks, *columns))))

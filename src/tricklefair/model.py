@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .io import _is_int, write_csv, write_json
+from .io import _is_int, write_records, write_records_csv
 
 _INITIAL_P = 0.5  # starting probability of every node not forced to 1
 _SUFFICIENT_DECREASE = 1e-4  # a step of length s must cut the defect by the factor 1 - 1e-4 s
@@ -143,12 +143,13 @@ class _SweepPlan:
     columns, so every node takes exactly its own y steps over K states.
 
     - Gather: for every step of every batch, in order, the plan stores the
-      neighbor id and the t of each column the step updates, so a sweep fills
-      x = p[neighbor] * t for all steps in two calls.
+      neighbor id of each column the step updates, so a sweep fills
+      x = p[neighbor] for all steps in one call, and each step scales its
+      slice of x by its columns' t, a view of its batch's times.
     - Views: each batch owns its DP array w, whose row 0 stays zero below
       the K states, and a buffer for the differences, and every step's
-      slices of them and of x are made here. A step is then three ufunc calls
-      with out=, w[j] -= x * (w[j] - w[j - 1]), at every K.
+      slices of them and of x are made here. A step is then four ufunc calls
+      with out=, x *= t and w[j] -= x * (w[j] - w[j - 1]), at every K.
     - Row trimming: before step c at most c neighbors transmitted, so step c
       updates only the first min(K, c + 2) states; the states it skips hold
       exact zeros.
@@ -162,7 +163,7 @@ class _SweepPlan:
       the column's term of dF_i/dp_j. Each step leaves its terms in its cells
       of x, and one reduceat sums them by edge.
 
-    The plan holds 24 bytes per (step, column) pair: the neighbor id, t and
+    The plan holds 16 bytes per (step, column) pair: the neighbor id and
     x; the prefix adds 8 x min(K, c + 1) bytes per pair of every batch.
     Its buffers make evaluate and jacobian non-reentrant.
     """
@@ -193,7 +194,6 @@ class _SweepPlan:
         # one DP array and difference buffer, shared by the batches; a prefix region per step of every batch
         dp, diffs, prefix = np.empty(dp_size), np.empty(dp_size), np.empty(prefix_size)
         self.gather = np.empty(cells, dtype=np.intp)
-        self.col_t = np.empty(cells)
         edge_rows, edge_starts = [np.empty(0, dtype=np.intp)], [np.empty(0, dtype=np.intp)]
         self.batches = []
         offset = used = 0  # of x and of the prefix buffer
@@ -212,7 +212,6 @@ class _SweepPlan:
                 b = int(starts[a])
                 neighbors = [lists[i][c] for i in nodes[:a].tolist()]
                 self.gather[offset : offset + b] = np.repeat(neighbors, sizes[:a])
-                self.col_t[offset : offset + b] = times[:b]
                 edge_rows.append(nodes[:a])
                 edge_starts.append(offset + starts[:a])
                 # the suffix after backward step c spans at most y - c neighbors
@@ -220,7 +219,7 @@ class _SweepPlan:
                 r, rp, rs = min(k, c + 2), min(k, c + 1), min(k, len(active) - c + 1)
                 pref = prefix[used : used + rp * b].reshape(rp, b)
                 x = self.x[offset : offset + b]
-                forward.append((w[1 : rp + 1, :b], pref, w[1 : r + 1, :b], w[:r, :b], diff[:r, :b], x))
+                forward.append((times[:b], w[1 : rp + 1, :b], pref, w[1 : r + 1, :b], w[:r, :b], diff[:r, :b], x))
                 backward.append((pref, w[k + 1 - rp :, :b][::-1], w[1 : rs + 1, :b], w[:rs, :b], diff[:rs, :b], x))
                 offset += b
                 used += rp * b
@@ -238,12 +237,12 @@ class _SweepPlan:
         """
         out = np.ones(len(p))
         np.take(p, self.gather, out=self.x, mode="clip")
-        np.multiply(self.x, self.col_t, out=self.x)
         multiply, subtract, copyto = np.multiply, np.subtract, np.copyto
         for nodes, w, weights, _, starts, forward, _ in self.batches:
             w.fill(0.0)
             w[1] = 1.0
-            for w_p, pref, w_r, w_below, diff, x in forward:
+            for t, w_p, pref, w_r, w_below, diff, x in forward:
+                multiply(x, t, out=x)
                 copyto(pref, w_p)
                 subtract(w_r, w_below, out=diff)
                 multiply(diff, x, out=diff)
@@ -403,31 +402,32 @@ def solve_fixed_point(topology, k_assignment, config: SolverConfig | None = None
 
 def save_solution(path, topology, k_assignment, solution: ModelSolution, extra: dict | None = None) -> None:
     """Write a solution as JSON: per-node records plus solver diagnostics."""
-    doc = {
-        "converged": bool(solution.converged),
-        "iterations": solution.iterations,
-        "residual": solution.residual,
-        "policy": k_assignment.policy,
-        "solver": {
+    write_records(
+        path,
+        _solution_columns(topology, k_assignment, solution),
+        converged=bool(solution.converged),
+        iterations=solution.iterations,
+        residual=solution.residual,
+        policy=k_assignment.policy,
+        solver={
             "defects": list(solution.defects),
             "halvings": list(solution.halvings),
             "gmres_iterations": list(solution.gmres_iterations),
         },
-        "per_node": [
-            {"id": i, "degree": degree, "k": k, "p_tx": p_tx, "p_f": p_f, "p_lo": p_lo}
-            for i, degree, k, p_tx, p_f, p_lo in _solution_rows(topology, k_assignment, solution)
-        ],
-    }
-    if extra:
-        doc.update(extra)
-    write_json(path, doc)
+        **(extra or {}),
+    )
 
 
 def save_solution_csv(path, topology, k_assignment, solution: ModelSolution) -> None:
-    write_csv(path, ["id", "degree", "k", "p_tx", "p_f", "p_lo"], _solution_rows(topology, k_assignment, solution))
+    write_records_csv(path, _solution_columns(topology, k_assignment, solution))
 
 
-def _solution_rows(topology, k_assignment, solution: ModelSolution):
-    """Per-node (id, degree, k, p_tx, p_f, p_lo) rows of Python ints and floats."""
-    columns = solution.p_tx.tolist(), solution.p_f.tolist(), solution.p_lo.tolist()
-    return zip(range(topology.n), topology.degrees.tolist(), k_assignment.k, *columns)
+def _solution_columns(topology, k_assignment, solution: ModelSolution) -> dict:
+    """The per-node fields of both solution files, in CSV column order."""
+    return {
+        "degree": topology.degrees.tolist(),
+        "k": k_assignment.k,
+        "p_tx": solution.p_tx.tolist(),
+        "p_f": solution.p_f.tolist(),
+        "p_lo": solution.p_lo.tolist(),
+    }

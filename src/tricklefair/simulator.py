@@ -32,7 +32,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from ._rng import substreams
-from .io import _is_int, write_csv, write_json
+from .io import _is_int, write_records, write_records_csv
 
 CI95_Z = 1.96  # normal approximation quantile for two-sided 95%
 
@@ -164,21 +164,15 @@ def _estimate(counts: np.ndarray, params: TrickleParams):
 
 def save_result(path, result: SimulationResult, extra: dict | None = None) -> None:
     """Write a simulation result as JSON: echoed parameters plus per-node records."""
-    n = result.counts.shape[1]
-    ci95 = [None] * n if result.ci95 is None else result.ci95.tolist()
-    doc = {
-        "params": asdict(result.params),
-        "per_node": [
-            {"id": i, "mean_p": p, "ci95": ci, "counts_per_run": counts}
-            for i, p, ci, counts in zip(range(n), result.mean_p.tolist(), ci95, result.counts.T.tolist())
-        ],
-    }
-    if extra:
-        doc.update(extra)
-    write_json(path, doc)
+    columns = {**_estimate_columns(result), "counts_per_run": result.counts.T.tolist()}
+    write_records(path, columns, params=asdict(result.params), **(extra or {}))
 
 
 def save_result_csv(path, result: SimulationResult) -> None:
-    mean_p = result.mean_p.tolist()
-    ci95 = [""] * len(mean_p) if result.ci95 is None else result.ci95.tolist()
-    write_csv(path, ["id", "mean_p", "ci95"], zip(range(len(mean_p)), mean_p, ci95))
+    write_records_csv(path, _estimate_columns(result))
+
+
+def _estimate_columns(result: SimulationResult) -> dict:
+    """mean_p and ci95 per node; a single run has no ci95, written as null or an empty cell."""
+    n = result.counts.shape[1]
+    return {"mean_p": result.mean_p.tolist(), "ci95": [None] * n if result.ci95 is None else result.ci95.tolist()}

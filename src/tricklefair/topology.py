@@ -160,13 +160,12 @@ def generate_grid(rows: int, cols: int, spacing: float = 1.0, radio_range: float
     radio_range sqrt(2) the diagonals are included, which on a 7x7 grid gives
     degrees 3 (corners), 5 (edges) and 8 (interior).
     """
-    if rows < 1 or cols < 1:
-        raise TopologyError("rows and cols must be positive")
+    if not (_is_int(rows) and _is_int(cols)) or rows < 1 or cols < 1:
+        raise TopologyError("rows and cols must be positive integers")
     if spacing <= 0:
         raise TopologyError("spacing must be positive")
-    positions = np.array(
-        [(r * spacing, c * spacing) for r in range(rows) for c in range(cols)], dtype=float
-    )
+    # an oversized grid fails at this allocation, before any per-node work
+    positions = np.column_stack(np.divmod(np.arange(rows * cols), cols)) * spacing
     return Topology.from_positions(positions, radio_range)
 
 
@@ -187,16 +186,10 @@ def generate_random_udg(n: int, side: float, radio_range: float, seed: int) -> T
 
 def save_topology(topology: Topology, path) -> None:
     """Write a topology as JSON (schema documented in the README)."""
-    nodes = []
-    for i in range(topology.n):
-        if topology.positions is None:
-            nodes.append({"id": i, "x": None, "y": None})
-        else:
-            nodes.append(
-                {"id": i, "x": float(topology.positions[i, 0]), "y": float(topology.positions[i, 1])}
-            )
+    n = topology.n
+    xs, ys = ([None] * n, [None] * n) if topology.positions is None else topology.positions.T.tolist()
     doc = {
-        "nodes": nodes,
+        "nodes": [{"id": i, "x": x, "y": y} for i, x, y in zip(range(n), xs, ys)],
         "range": topology.radio_range,
         "edges": None if topology.radio_range is not None else [list(e) for e in topology.edges],
     }

@@ -178,11 +178,14 @@ def test_simulate_defaults_and_determinism(tmp_path, grid_file):
 
 
 def test_simulate_single_run_has_null_ci(tmp_path, grid_file):
-    out = tmp_path / "sim.json"
-    assert run_cli("simulate", "--topo", grid_file, "--fixed-k", 1, "--runs", 1, "-o", out) == 0
+    out, out_csv = tmp_path / "sim.json", tmp_path / "sim.csv"
+    assert run_cli("simulate", "--topo", grid_file, "--fixed-k", 1, "--runs", 1, "-o", out, "--csv", out_csv) == 0
     doc = json.loads(out.read_text())
     assert all(rec["ci95"] is None for rec in doc["per_node"])
     assert all(0.0 <= rec["mean_p"] <= 1.0 for rec in doc["per_node"])
+    rows = list(csv.reader(out_csv.read_text().splitlines()))
+    assert rows[0] == ["id", "mean_p", "ci95"] and len(rows) == 50
+    assert all(row[2] == "" for row in rows[1:])  # no ci95, not the text None
 
 
 def test_compare_pipeline(tmp_path, grid_file, capsys):
@@ -538,6 +541,7 @@ def test_cli_fuzz_reproduce_arguments(table, seed, runs, intervals):
         ["simulate", "--fixed-k=1", "--intervals=1000000000000", "--output=s.json"],
         ["gen", "random", "--n=100000000000000", "--side=10", "--range=1", "--output=r.json"],
         ["reproduce", "--table=1", "--intervals=1000000000000", "--out=rep"],
+        ["gen", "grid", "--rows=100000000", "--cols=100000000", "--output=g.json"],
     ],
 )
 def test_request_too_large_for_memory_is_exit_2(tmp_path, grid_file, monkeypatch, argv):

@@ -110,6 +110,17 @@ def test_runtime_imports_are_stdlib_numpy_or_the_package():
             assert not outside, f"{path.name}:{node.lineno} imports {outside}"
 
 
+def test_only_io_knows_the_per_node_layout():
+    # every per-node file is written by io.write_records and read by io.read_records
+    found = {
+        path.name
+        for path in (ROOT / "src" / "tricklefair").rglob("*.py")
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)))
+        if isinstance(node, ast.Constant) and node.value == "per_node"
+    }
+    assert found == {"io.py"}
+
+
 @pytest.mark.parametrize(
     "script, args",
     [

@@ -68,6 +68,12 @@ def test_grid_row_major_positions():
     assert t.positions[3].tolist() == [2.0, 0.0]
 
 
+@pytest.mark.parametrize("rows, cols", [(0, 3), (3, -1), (2.5, 3), (3, 3.0), ("3", 3), (True, 3)])
+def test_grid_rows_and_cols_must_be_positive_integers(rows, cols):
+    with pytest.raises(TopologyError, match="rows and cols must be positive integers"):
+        generate_grid(rows, cols)
+
+
 def test_random_udg_is_deterministic():
     a = generate_random_udg(30, 5.0, 1.3, seed=4)
     b = generate_random_udg(30, 5.0, 1.3, seed=4)
