@@ -90,19 +90,21 @@ def _pcg_step(hi: np.ndarray, lo: np.ndarray, inc_hi: np.ndarray, inc_lo: np.nda
     return new_hi, new_lo
 
 
-def substreams(base_seed: int, runs: int, n: int, count: int):
-    """Yield, for run = 0..runs-1, an (n, count) array of doubles.
+def substreams(base_seed: int, runs: range, n: int, count: int):
+    """Yield, for each run in ``runs`` (a range of step 1), an (n, count) array of doubles.
 
-    Row i equals ``np.random.default_rng((base_seed, run, i)).random(count)``.
-    Run and node ids must stay below 2**32 (one entropy word each).
-    Consecutive runs are hashed and stepped together in blocks of up to
-    ``_BLOCK`` rows (always whole runs), which amortizes numpy call overhead
-    on small networks and caps memory on large ones.
+    Row i equals ``np.random.default_rng((base_seed, run, i)).random(count)``,
+    so a slice of the runs draws the same rows as the whole range; only the
+    runs asked for are hashed and stepped. Run and node ids must stay below
+    2**32 (one entropy word each). Consecutive runs are hashed and stepped
+    together in blocks of up to ``_BLOCK`` rows (always whole runs), which
+    amortizes numpy call overhead on small networks and caps memory on large
+    ones.
     """
     per_block = max(1, _BLOCK // n)
     nodes = np.arange(n, dtype=np.uint64)
-    for first in range(0, runs, per_block):
-        run_ids = np.arange(first, min(first + per_block, runs), dtype=np.uint64)[:, None]
+    for first in range(runs.start, runs.stop, per_block):
+        run_ids = np.arange(first, min(first + per_block, runs.stop), dtype=np.uint64)[:, None]
         w = [word.ravel() for word in _seed_state(base_seed, run_ids, nodes)]
         # generate_state(4, uint64) pairs the 32-bit words little-endian;
         # pcg64_set_seed reads words 0-1 as the seed and 2-3 as the increment

@@ -23,11 +23,24 @@ K assignments on one topology share each run's draws and so its event
 schedule (common random numbers): a run builds it once, and the decision
 loop runs over it once per assignment, reading memoryviews of the sorted
 times, node ids and next interval starts and a measured-flag column.
+
+Runs are independent: ``run_steady_states`` splits them into contiguous
+spans, one per CPU the process may use (``os.sched_getaffinity``), simulates
+the first span itself and forks a child per other span. A child draws only
+its own runs, writes its int64 counts as raw bytes to its own pipe and leaves
+by ``os._exit``, so nothing it inherited (atexit handlers, buffered output)
+runs twice; the parent reads the bytes into its counts array, the same bytes
+as one process. A failed child's span runs again in the parent, so the
+span's own exception reaches the caller, and no child outlives the call. The
+parent's peak RSS does not include the children's memory.
 """
 from __future__ import annotations
 
 import math
+import os
+import warnings
 from dataclasses import asdict, dataclass
+from functools import partial
 
 import numpy as np
 
@@ -118,16 +131,8 @@ def _single_run(neighbor_lists, ks_list, params: TrickleParams, draws: np.ndarra
     return result
 
 
-def run_steady_states(topology, k_assignments, params: TrickleParams) -> list[SimulationResult]:
-    """Simulate every K assignment over the same `runs` repetitions, one result each.
-
-    Every assignment sees the same draws and event schedule, which each run
-    builds once; the counts equal separate ``run_steady_state`` calls.
-    """
-    for k_assignment in k_assignments:
-        if len(k_assignment.k) != topology.n:
-            raise ValueError("k_assignment length does not match topology")
-    n = topology.n
+def _simulate_span(neighbor_lists, ks_list, params: TrickleParams, counts: np.ndarray, runs: range) -> None:
+    """Fill ``counts[a, r]`` with the counts of run r under K list a, for each r in ``runs``."""
     # One trailing interval beyond the measured window keeps late-phase
     # neighbors firing while early-phase nodes finish their last measured
     # interval. Warmup intervals are discarded, but the start-up transient
@@ -135,12 +140,71 @@ def run_steady_states(topology, k_assignments, params: TrickleParams) -> list[Si
     # rate climbs from 0.47 (interval 0) to 0.53 (interval 2) and settles
     # near 0.57 only from interval 6, so short windows read low.
     total = params.warmup_intervals + params.measured_intervals + 1
-    ks_list = [k_assignment.k for k_assignment in k_assignments]
-    counts = np.empty((len(ks_list), params.runs, n), dtype=np.int64)
-    draws = substreams(params.base_seed, params.runs, n, total + 1)
-    for r, run_draws in enumerate(draws):
-        for a, run_counts in enumerate(_single_run(topology.neighbor_lists, ks_list, params, run_draws)):
+    for r, run_draws in zip(runs, substreams(params.base_seed, runs, len(neighbor_lists), total + 1)):
+        for a, run_counts in enumerate(_single_run(neighbor_lists, ks_list, params, run_draws)):
             counts[a, r] = run_counts
+
+
+def _fork_span(simulate, counts: np.ndarray, runs: range):
+    """Fork a child that runs ``simulate(counts, runs)`` and pipes those runs' counts back; return (pid, read end)."""
+    read_end, write_end = os.pipe()
+    with warnings.catch_warnings():
+        # Python 3.12+ (untested; this code has run on 3.11) warns on fork in
+        # a multithreaded process, and numpy's OpenBLAS pool makes this one;
+        # the child calls no BLAS and leaves by os._exit.
+        warnings.filterwarnings("ignore", r"This process .* is multi-threaded", DeprecationWarning)
+        pid = os.fork()
+    if pid == 0:
+        code = 1  # any exception: the parent re-runs the span and raises it there
+        try:
+            os.close(read_end)
+            simulate(counts, runs)
+            with open(write_end, "wb") as pipe:
+                for rows in counts[:, runs.start : runs.stop]:  # one contiguous block per K list
+                    pipe.write(rows)
+            code = 0
+        finally:
+            os._exit(code)
+    os.close(write_end)  # else a later child inherits it and the read never sees EOF
+    return pid, open(read_end, "rb")
+
+
+def run_steady_states(topology, k_assignments, params: TrickleParams) -> list[SimulationResult]:
+    """Simulate every K assignment over the same `runs` repetitions, one result each.
+
+    Every assignment sees the same draws and event schedule, which each run
+    builds once; the counts equal separate ``run_steady_state`` calls. The
+    runs are split into contiguous spans, one per CPU this process may use;
+    the first span runs here and each other one in a forked child.
+    """
+    for k_assignment in k_assignments:
+        if len(k_assignment.k) != topology.n:
+            raise ValueError("k_assignment length does not match topology")
+    simulate = partial(_simulate_span, topology.neighbor_lists, [ka.k for ka in k_assignments], params)
+    counts = np.empty((len(k_assignments), params.runs, topology.n), dtype=np.int64)
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    workers = min(cpus, params.runs)
+    bounds = [params.runs * w // workers for w in range(workers + 1)]
+    spans = [range(first, stop) for first, stop in zip(bounds, bounds[1:])]
+    children = []  # (pid, read end) of each forked span not yet reaped, in run order
+    try:
+        for runs in spans[1:]:
+            children.append(_fork_span(simulate, counts, runs))
+        simulate(counts, spans[0])
+        for runs in spans[1:]:
+            pid, pipe = children[0]
+            with pipe:
+                for rows in counts[:, runs.start : runs.stop]:
+                    pipe.readinto(rows)
+            status = os.waitpid(pid, 0)[1]
+            del children[0]
+            if status:  # the child failed: its span's exception is raised here
+                simulate(counts, runs)
+    finally:
+        for pid, pipe in children:
+            os.kill(pid, 9)  # SIGKILL; importing signal would add about 1 ms to every start-up
+            pipe.close()
+            os.waitpid(pid, 0)
     results = []
     for assignment_counts in counts:
         mean_p, ci95 = _estimate(assignment_counts, params)

@@ -3,6 +3,7 @@ import csv
 import io
 import json
 import math
+import os
 import tempfile
 from pathlib import Path
 
@@ -555,6 +556,9 @@ def test_request_too_large_for_memory_is_exit_2(tmp_path, grid_file, monkeypatch
     if argv[0] == "reproduce":
         manifest = json.loads((tmp_path / "rep" / "manifest.json").read_text())
         assert manifest["status"] == "failed" and manifest["error"]
+    if argv[0] in ("simulate", "reproduce"):  # every forked span of runs is reaped
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
 
 def test_reproduce_io_error_is_exit_4_and_marks_the_manifest_failed(tmp_path):

@@ -1,4 +1,5 @@
 import json
+import os
 import tracemalloc
 
 import numpy as np
@@ -14,8 +15,9 @@ from tricklefair import (
     heuristic_policy,
     run_steady_state,
 )
+from tricklefair import simulator
 from tricklefair._rng import _BLOCK, substreams
-from tricklefair.cli import bundled_random_topology
+from tricklefair.cli import _table_configs, bundled_random_topology
 from tricklefair.simulator import _single_run, run_steady_states, save_result, save_result_csv
 
 from oracles import decision_loop, estimate_probabilities, single_run
@@ -95,7 +97,7 @@ def test_substreams_match_default_rng():
     n, count = 300, 14
     # zero words, one full word, word boundaries and multi-word seeds
     for seed in (0, 1, 7, 2**32 - 1, 2**32, 2**40 + 5, 2**70 + 3):
-        got = list(substreams(seed, 30, n, count))
+        got = list(substreams(seed, range(30), n, count))
         assert len(got) == 30
         for run in (0, 1, 29):
             want = [np.random.default_rng((seed, run, i)).random(count) for i in range(n)]
@@ -103,11 +105,24 @@ def test_substreams_match_default_rng():
     # one draw per node; a row cap that falls inside the third run (blocks of
     # two runs, the last one short); a run larger than the cap on its own
     for n, runs, count in ((49, 45, 1), (_BLOCK // 3 + 17, 5, 3), (_BLOCK + 5, 2, 2)):
-        got = list(substreams(5, runs, n, count))
+        got = list(substreams(5, range(runs), n, count))
         assert len(got) == runs
         for run in range(runs):
             want = [np.random.default_rng((5, run, i)).random(count) for i in range(n)]
             assert np.array_equal(got[run], want), f"n {n}, run {run}"
+
+
+@pytest.mark.parametrize("n, count", [(49, 3), (_BLOCK // 3 + 17, 2), (_BLOCK + 5, 1)])
+def test_substreams_of_a_run_range_equal_the_rows_from_run_zero(n, count):
+    # a worker draws only its own runs; blocks then start at its first run
+    whole = list(substreams(9, range(12), n, count))
+    for first, stop in ((0, 1), (3, 4), (2, 9), (5, 12), (11, 12)):
+        got = list(substreams(9, range(first, stop), n, count))
+        assert len(got) == stop - first
+        for run, rows in zip(range(first, stop), got):
+            assert np.array_equal(rows, whole[run]), (first, stop, run)
+            for node in (0, n // 2, n - 1):
+                assert np.array_equal(rows[node], np.random.default_rng((9, run, node)).random(count))
 
 
 def test_tied_event_times_break_by_node_then_interval():
@@ -190,6 +205,59 @@ def test_shared_schedule_counts_equal_separate_runs(name, grid):
         assert np.array_equal(res.counts, alone.counts), ka.policy
         assert np.array_equal(res.mean_p, alone.mean_p)
         assert np.array_equal(res.ci95, alone.ci95)
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("runs", [1, 7, 30])
+def test_counts_are_identical_for_any_number_of_workers(runs, grid, monkeypatch):
+    # one worker per CPU the process may use, capped at runs; tables 1 and 3
+    # of reproduce simulated in one call
+    kas = [assign_k(grid, policy) for _, policy in _table_configs(1) + _table_configs(3)]
+    params = TrickleParams(measured_intervals=4, warmup_intervals=2, runs=runs, base_seed=6)
+    got = {}
+    for workers in (1, 2, 3, runs + 5):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid, workers=workers: set(range(workers)))
+        got[workers] = run_steady_states(grid, kas, params)
+        assert_no_child_left()
+    for workers, results in got.items():
+        for res, want in zip(results, got[1]):
+            assert res.counts.flags.c_contiguous and res.counts.flags.writeable
+            assert res.counts.tobytes() == want.counts.tobytes(), workers
+            assert res.mean_p.tobytes() == want.mean_p.tobytes(), workers
+
+
+def test_one_cpu_or_one_run_forks_nothing(grid, monkeypatch):
+    def no_fork():
+        raise AssertionError("forked")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    ka = assign_k(grid, fixed_policy(1))
+    for cpus, runs in (({0}, 3), ({0, 1, 2}, 1)):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: cpus)
+        assert run_steady_state(grid, ka, TrickleParams(runs=runs, measured_intervals=2)).counts.shape == (runs, grid.n)
+
+
+class SpanFailure(Exception):
+    pass
+
+
+@pytest.mark.parametrize("failing_first", [2, 0])  # a forked child's span, the caller's own span
+def test_a_failed_span_raises_its_exception_and_leaves_no_child(failing_first, grid, monkeypatch):
+    # runs 0-1 are simulated by the caller, runs 2-3 and 4-5 in forked children
+    def draw(base_seed, runs, n, count):
+        if runs.start == failing_first:
+            raise SpanFailure(runs)
+        return substreams(base_seed, runs, n, count)
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+    monkeypatch.setattr(simulator, "substreams", draw)
+    with pytest.raises(SpanFailure):
+        run_steady_states(grid, [assign_k(grid, fixed_policy(1))], TrickleParams(runs=6, measured_intervals=3))
+    assert_no_child_left()
 
 
 def test_large_network_matches_reference_simulator():
