@@ -55,6 +55,8 @@ def calculate_k(num_neighbors: int, step: int, offset: int = 0) -> int:
 
 def assign_k(topology, policy: dict) -> KAssignment:
     """Evaluate a policy descriptor on every node of a topology."""
+    if not isinstance(policy, dict):
+        raise ValueError(f"policy {policy!r} is not a dict")
     mode = policy.get("mode")
     if mode == "fixed":
         ks = (policy.get("k"),) * topology.n

@@ -26,17 +26,19 @@ times, node ids and next interval starts and a measured-flag column.
 
 Runs are independent: ``run_steady_states`` splits them into contiguous
 spans, one per CPU the process may use (``os.sched_getaffinity``), simulates
-the first span itself and forks a child per other span. A child draws only
-its own runs, writes its int64 counts as raw bytes to its own pipe and leaves
-by ``os._exit``, so nothing it inherited (atexit handlers, buffered output)
-runs twice; the parent reads the bytes into its counts array, the same bytes
-as one process. A failed child's span runs again in the parent, so the
-span's own exception reaches the caller, and no child outlives the call. The
-parent's peak RSS does not include the children's memory.
+the first span itself and forks a child per other span. The counts array
+lives in one anonymous shared mapping made before any fork, so a child draws
+only its own runs, writes their counts into its rows of that array and
+leaves by ``os._exit``, and nothing it inherited (atexit handlers, buffered
+output) runs twice; the array holds the same bytes as one process. A failed
+child's span runs again in the parent, so the span's own exception reaches
+the caller, and no child outlives the call. The parent's peak RSS does not
+include the children's memory.
 """
 from __future__ import annotations
 
 import math
+import mmap
 import os
 import warnings
 from dataclasses import asdict, dataclass
@@ -145,65 +147,55 @@ def _simulate_span(neighbor_lists, ks_list, params: TrickleParams, counts: np.nd
             counts[a, r] = run_counts
 
 
-def _fork_span(simulate, counts: np.ndarray, runs: range):
-    """Fork a child that runs ``simulate(counts, runs)`` and pipes those runs' counts back; return (pid, read end)."""
-    read_end, write_end = os.pipe()
-    with warnings.catch_warnings():
-        # Python 3.12+ (untested; this code has run on 3.11) warns on fork in
-        # a multithreaded process, and numpy's OpenBLAS pool makes this one;
-        # the child calls no BLAS and leaves by os._exit.
-        warnings.filterwarnings("ignore", r"This process .* is multi-threaded", DeprecationWarning)
-        pid = os.fork()
-    if pid == 0:
-        code = 1  # any exception: the parent re-runs the span and raises it there
-        try:
-            os.close(read_end)
-            simulate(counts, runs)
-            with open(write_end, "wb") as pipe:
-                for rows in counts[:, runs.start : runs.stop]:  # one contiguous block per K list
-                    pipe.write(rows)
-            code = 0
-        finally:
-            os._exit(code)
-    os.close(write_end)  # else a later child inherits it and the read never sees EOF
-    return pid, open(read_end, "rb")
-
-
 def run_steady_states(topology, k_assignments, params: TrickleParams) -> list[SimulationResult]:
     """Simulate every K assignment over the same `runs` repetitions, one result each.
 
     Every assignment sees the same draws and event schedule, which each run
     builds once; the counts equal separate ``run_steady_state`` calls. The
     runs are split into contiguous spans, one per CPU this process may use;
-    the first span runs here and each other one in a forked child.
+    the first span runs here and each other one in a forked child, which
+    writes its runs' counts straight into the shared counts array.
     """
     for k_assignment in k_assignments:
         if len(k_assignment.k) != topology.n:
             raise ValueError("k_assignment length does not match topology")
     simulate = partial(_simulate_span, topology.neighbor_lists, [ka.k for ka in k_assignments], params)
-    counts = np.empty((len(k_assignments), params.runs, topology.n), dtype=np.int64)
+    shape = (len(k_assignments), params.runs, topology.n)
+    try:  # an anonymous mapping is shared: each child forked below writes its runs' rows in place
+        counts = np.ndarray(shape, np.int64, mmap.mmap(-1, max(8 * math.prod(shape), 1)))  # not 0 bytes
+    except (OSError, OverflowError) as exc:  # numpy reports an allocation too large as MemoryError
+        raise MemoryError(f"cannot map int64 counts of shape {shape}") from exc
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
     workers = min(cpus, params.runs)
     bounds = [params.runs * w // workers for w in range(workers + 1)]
     spans = [range(first, stop) for first, stop in zip(bounds, bounds[1:])]
-    children = []  # (pid, read end) of each forked span not yet reaped, in run order
+    children = []  # (pid, span) of each forked child not yet reaped, in run order
     try:
         for runs in spans[1:]:
-            children.append(_fork_span(simulate, counts, runs))
+            with warnings.catch_warnings():
+                # Python 3.12+ (untested; this code has run on 3.11) warns on fork in
+                # a multithreaded process, and numpy's OpenBLAS pool makes this one;
+                # the child calls no BLAS and leaves by os._exit.
+                warnings.filterwarnings("ignore", r"This process .* is multi-threaded", DeprecationWarning)
+                pid = os.fork()
+            if pid == 0:
+                code = 1  # any exception: the parent re-runs the span and raises it there
+                try:
+                    simulate(counts, runs)
+                    code = 0
+                finally:
+                    os._exit(code)
+            children.append((pid, runs))
         simulate(counts, spans[0])
-        for runs in spans[1:]:
-            pid, pipe = children[0]
-            with pipe:
-                for rows in counts[:, runs.start : runs.stop]:
-                    pipe.readinto(rows)
+        while children:
+            pid, runs = children[0]
             status = os.waitpid(pid, 0)[1]
             del children[0]
             if status:  # the child failed: its span's exception is raised here
                 simulate(counts, runs)
     finally:
-        for pid, pipe in children:
+        for pid, _ in children:
             os.kill(pid, 9)  # SIGKILL; importing signal would add about 1 ms to every start-up
-            pipe.close()
             os.waitpid(pid, 0)
     results = []
     for assignment_counts in counts:

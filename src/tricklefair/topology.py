@@ -85,14 +85,17 @@ class Topology:
         """Build a topology from an explicit list of undirected edges.
 
         Edges may appear in either orientation and more than once; they are
-        normalized to a symmetric, irreflexive adjacency. Self loops and ids
-        outside 0..n-1 are rejected.
+        normalized to a symmetric, irreflexive adjacency. ``n`` must be an
+        integer >= 1 and each edge a pair (list or tuple) of integers; self
+        loops and ids outside 0..n-1 are rejected.
         """
-        if n < 1:
-            raise TopologyError("topology needs at least one node")
+        if not _is_int(n) or n < 1:
+            raise TopologyError("n must be a positive integer")
         adjacency: list[set[int]] = [set() for _ in range(n)]
         for edge in edges:
-            i, j = int(edge[0]), int(edge[1])
+            if not (isinstance(edge, (list, tuple)) and len(edge) == 2 and all(map(_is_int, edge))):
+                raise TopologyError(f"edge {edge!r} is not a pair of integers")
+            i, j = edge
             if not (0 <= i < n and 0 <= j < n):
                 raise TopologyError(f"edge [{i}, {j}] references a node id outside 0..{n - 1}")
             if i == j:
@@ -162,10 +165,11 @@ def generate_grid(rows: int, cols: int, spacing: float = 1.0, radio_range: float
     """
     if not (_is_int(rows) and _is_int(cols)) or rows < 1 or cols < 1:
         raise TopologyError("rows and cols must be positive integers")
-    if spacing <= 0:
-        raise TopologyError("spacing must be positive")
-    # an oversized grid fails at this allocation, before any per-node work
-    positions = np.column_stack(np.divmod(np.arange(rows * cols), cols)) * spacing
+    if not 0 < spacing < math.inf:  # written so that NaN fails it too
+        raise TopologyError("spacing must be positive and finite")
+    # an oversized grid fails at this allocation; an overflowing coordinate, in from_positions
+    with np.errstate(over="ignore"):
+        positions = np.column_stack(np.divmod(np.arange(rows * cols), cols)) * spacing
     return Topology.from_positions(positions, radio_range)
 
 
@@ -175,8 +179,8 @@ def generate_random_udg(n: int, side: float, radio_range: float, seed: int) -> T
     Deterministic for a fixed seed. Use the reported mean degree to tune side
     and radio_range toward a target density.
     """
-    if n < 1:
-        raise TopologyError("topology needs at least one node")
+    if not _is_int(n) or n < 1:
+        raise TopologyError("n must be a positive integer")
     if not 0 < side < math.inf:  # written so that NaN fails it too
         raise TopologyError("side must be positive and finite")
     rng = np.random.default_rng(seed)
@@ -249,9 +253,6 @@ def load_topology(path) -> Topology:
 
     if not isinstance(edges, list):
         raise TopologyError(f"{path}: field 'edges' must be a list of [i, j] pairs")
-    for e in edges:
-        if not (isinstance(e, list) and len(e) == 2 and all(_is_int(v) for v in e)):
-            raise TopologyError(f"{path}: edge {e!r} is not an [i, j] pair of integers")
     try:
         return Topology.from_edges(n, edges, positions)
     except TopologyError as exc:

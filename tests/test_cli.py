@@ -273,6 +273,20 @@ def test_gen_rejects_non_finite_range(tmp_path, capsys, args, message):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "spacing, message",
+    [("inf", "spacing must be positive and finite"), (1e308, "positions must be finite")],
+    ids=["inf", "overflow"],
+)
+def test_gen_grid_rejects_a_spacing_past_the_doubles(tmp_path, capsys, spacing, message):
+    # under filterwarnings = error a numpy warning would escape main as a traceback
+    out = tmp_path / "topo.json"
+    assert run_cli("gen", "grid", "--rows", 3, "--cols", 3, "--spacing", spacing, "--range", 1.5, "-o", out) == 4
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {message}") and err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_gen_grid_with_huge_spacing_writes_true_edges(tmp_path, capsys):
     # the diagonals' squared length, 2e400, overflows a double; it must not pass the range test
     out = tmp_path / "huge.json"
@@ -543,6 +557,8 @@ def test_cli_fuzz_reproduce_arguments(table, seed, runs, intervals):
         ["gen", "random", "--n=100000000000000", "--side=10", "--range=1", "--output=r.json"],
         ["reproduce", "--table=1", "--intervals=1000000000000", "--out=rep"],
         ["gen", "grid", "--rows=100000000", "--cols=100000000", "--output=g.json"],
+        ["simulate", "--fixed-k=1", "--runs=1000000000000", "--output=s.json"],  # the counts mapping
+        ["simulate", "--fixed-k=1", "--runs=1000000000000000000", "--output=s.json"],  # past 2**63 bytes
     ],
 )
 def test_request_too_large_for_memory_is_exit_2(tmp_path, grid_file, monkeypatch, argv):

@@ -85,3 +85,6 @@ def test_assign_rejects_bad_policy(grid):
             assign_k(grid, policy)
     with pytest.raises(ValueError, match="redundancy constant None must be an integer >= 1"):
         assign_k(grid, {"mode": "fixed"})
+    for policy in (None, "fixed", ["mode", "fixed"]):
+        with pytest.raises(ValueError, match="is not a dict"):
+            assign_k(grid, policy)

@@ -239,6 +239,15 @@ def test_one_cpu_or_one_run_forks_nothing(grid, monkeypatch):
     for cpus, runs in (({0}, 3), ({0, 1, 2}, 1)):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: cpus)
         assert run_steady_state(grid, ka, TrickleParams(runs=runs, measured_intervals=2)).counts.shape == (runs, grid.n)
+    monkeypatch.delattr(os, "sched_getaffinity")  # as on macOS and Windows
+    assert run_steady_state(grid, ka, TrickleParams(runs=3, measured_intervals=2)).counts.shape == (3, grid.n)
+
+
+def test_no_assignment_gives_no_result(grid, monkeypatch):
+    # an empty counts array still maps one byte: mmap refuses a 0-byte mapping
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    assert run_steady_states(grid, [], TrickleParams(runs=3, measured_intervals=2)) == []
+    assert_no_child_left()
 
 
 class SpanFailure(Exception):

@@ -74,6 +74,12 @@ def test_grid_rows_and_cols_must_be_positive_integers(rows, cols):
         generate_grid(rows, cols)
 
 
+@pytest.mark.parametrize("n", [0, 2.5, True, "3"])
+def test_random_udg_node_count_must_be_a_positive_integer(n):
+    with pytest.raises(TopologyError, match="n must be a positive integer"):
+        generate_random_udg(n, 5.0, 1.3, seed=4)
+
+
 def test_random_udg_is_deterministic():
     a = generate_random_udg(30, 5.0, 1.3, seed=4)
     b = generate_random_udg(30, 5.0, 1.3, seed=4)
@@ -115,6 +121,10 @@ def test_from_edges_rejects_bad_input():
         Topology.from_edges(3, [(0, 3)])
     with pytest.raises(TopologyError):
         Topology.from_edges(0, [])
+    # n is an integer >= 1 and each edge a pair of integers, as in a topology file
+    for n, edges in ((3, [(0, 1.5)]), (3, [(0, True)]), (3, [("0", "2")]), (3, [(0, 1, 7)]), (3, [(0,)]), (2.5, [])):
+        with pytest.raises(TopologyError, match="pair of integers|positive integer"):
+            Topology.from_edges(n, edges)
 
 
 @pytest.mark.parametrize(
