@@ -25,7 +25,6 @@ from .model import (
 from .redundancy import (
     KAssignment,
     assign_k,
-    calculate_k,
     fixed_policy,
     heuristic_policy,
 )
@@ -54,7 +53,6 @@ __all__ = [
     "TopologyError",
     "TrickleParams",
     "assign_k",
-    "calculate_k",
     "class_means",
     "compare",
     "export_surface",

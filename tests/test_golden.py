@@ -12,7 +12,7 @@ where the test runs.
 import hashlib
 import math
 
-from tricklefair import compare, export_surface, generate_grid
+from tricklefair import Topology, compare, export_surface, generate_grid, save_topology
 from tricklefair.cli import main
 from tricklefair.metrics import save_comparison_csv
 
@@ -70,3 +70,14 @@ def test_written_bytes_are_pinned(tmp_path, monkeypatch):
 
     got = {name: _sha256(tmp_path / name) for name in GOLDEN_SHA256}
     assert got == GOLDEN_SHA256
+
+
+# Written by save_topology for a topology built from edges: no positions and no
+# range, so "edges" holds nested integer lists and every x and y is null.
+EDGE_LIST_SHA256 = "83175c03ad50bf97c9866ca81ea8e849ae9d2f1439a86a07b30c6a84ca76b1d3"
+
+
+def test_edge_list_topology_bytes_are_pinned(tmp_path):
+    topo = Topology.from_edges(7, [(0, 1), (2, 1), (2, 0), (3, 4), (4, 5), (5, 3), (2, 3), (1, 0)])
+    save_topology(topo, tmp_path / "edges.json")
+    assert _sha256(tmp_path / "edges.json") == EDGE_LIST_SHA256

@@ -1,11 +1,17 @@
 import csv
+import json
 import math
 import tempfile
+import tracemalloc
 from pathlib import Path
+from unittest import mock
 
-from hypothesis import example, given, strategies as st
+import numpy as np
+import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from tricklefair.io import read_records, write_records, write_records_csv
+from tricklefair import io, simulator
+from tricklefair.io import read_records, write_json, write_records, write_records_csv
 
 FINITE = st.floats(allow_nan=False, allow_infinity=False)  # subnormals and +-1.8e308 included
 EXTREMES = {
@@ -54,3 +60,99 @@ def test_csv_rows_are_the_id_then_each_column(cols):
         for i, (p, k, ci) in enumerate(zip(cols["p"], cols["k"], cols["ci"]))
     ]
     assert rows[1:] == expected
+
+
+NUMBERS = (
+    st.integers()
+    | st.integers(-(2**80), 2**80)
+    | st.floats()
+    | st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e308, -1e308, 2**64 + 1, -(2**70)])
+)
+SCALARS = st.none() | st.booleans() | NUMBERS | st.floats().map(np.float64) | st.text()
+FLAT_LISTS = (
+    st.lists(st.integers())
+    | st.lists(st.floats())
+    | st.lists(st.integers() | st.booleans())
+    | st.lists(NUMBERS | st.floats().map(np.float64))
+)
+# One key type per dict, as json's sort_keys needs keys that compare with each other.
+KEYS = [st.text(max_size=3), st.integers(), st.floats(), st.integers(-2, 2) | st.booleans(), st.none()]
+
+
+@st.composite
+def records(draw, children):
+    """A list of dicts that share one set of string keys."""
+    keys = draw(st.lists(st.text(max_size=3), max_size=4, unique=True))
+    n = draw(st.integers(0, 4))
+    return [{key: draw(children) for key in keys} for _ in range(n)]
+
+
+def _containers(children):
+    return (
+        st.lists(children, max_size=4)
+        | st.lists(children, max_size=4).map(tuple)
+        | st.one_of(*(st.dictionaries(keys, children, max_size=4) for keys in KEYS))
+        | records(children)
+        | st.lists(st.dictionaries(st.text(max_size=2), children, max_size=3), max_size=4)
+    )
+
+
+DOCS = st.recursive(SCALARS | FLAT_LISTS, _containers, max_leaves=25)
+
+EDGE_DOC = {
+    "floats": [math.nan, math.inf, -math.inf, -0.0, 5e-324, -5e-324, 1e308, -1e308],
+    "ints": [0, -1, 2**64, -(2**64) - 1, 10**40],
+    "bools_in_ints": [1, True, 0, False],
+    "mixed": [1, 2.5, np.float64(-0.0), np.float64(math.nan), -(2**70)],
+    "numpy": [np.float64(0.1), np.float64(math.inf), np.float64(-1e308)],
+    "tuples": (1, (2.5, ()), [], {}),
+    "text": ["h\u00e9llo", "\u2603\n\t\"\\", "\ud800", "%s", ""],
+    "keys": {1: "int", 2.5: "float", np.float64(0.5): "numpy", -(2**70): "big", True: "bool"},
+    "records": [{"id": i, "x": i / 3, "y": None, "runs": [i, i + 1], "%": {}} for i in range(600)],
+    "ragged": [{"id": 0}, {"id": 1, "x": 2.5}, {}, {"id": 3, "x": math.nan}],
+    "empty_records": [{}, {}],
+    "long": list(range(-300, 700)),
+}
+
+
+@settings(deadline=None)
+@given(DOCS)
+@example(EDGE_DOC)
+def test_json_bytes_are_those_of_the_json_module(doc):
+    expected = (json.dumps(doc, indent=2, sort_keys=True) + "\n").encode("utf-8")
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "doc.json"
+        for batch in (io._BATCH, 1, 3):  # batch boundaries fall inside every list
+            with mock.patch.object(io, "_BATCH", batch):
+                write_json(path, doc)
+            assert path.read_bytes() == expected, batch
+
+
+@pytest.mark.parametrize("doc", [
+    {1: "a", "b": 2},  # keys that do not sort together
+    {None: 1, 0: 2},
+    {(1, 2): "tuple key"},
+    [np.int64(3)],  # not a JSON type, as for json
+    {"a": [1, object()]},
+])
+def test_json_errors_are_type_errors_like_the_json_module(doc, tmp_path):
+    with pytest.raises(TypeError):
+        json.dumps(doc, indent=2, sort_keys=True)
+    with pytest.raises(TypeError):
+        write_json(tmp_path / "doc.json", doc)
+
+
+def test_writing_a_large_simulation_stays_under_a_memory_ceiling(tmp_path):
+    """The file is written in pieces: a 0.96 MB sim.json peaks under 2 MiB of traced memory."""
+    params = simulator.TrickleParams(measured_intervals=20, runs=30)
+    counts = np.random.default_rng(0).integers(0, params.measured_intervals + 1, size=(params.runs, 2000))
+    mean_p, ci95 = simulator._estimate(counts, params)
+    result = simulator.SimulationResult(counts=counts, mean_p=mean_p, ci95=ci95, params=params)
+    tracemalloc.start()
+    try:
+        simulator.save_result(tmp_path / "sim.json", result)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (tmp_path / "sim.json").stat().st_size > 900_000
+    assert peak < 2 * 2**20

@@ -23,7 +23,6 @@ PUBLIC_API = {
     "TopologyError",
     "TrickleParams",
     "assign_k",
-    "calculate_k",
     "class_means",
     "compare",
     "export_surface",

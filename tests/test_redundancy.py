@@ -2,7 +2,8 @@ from collections import Counter
 
 import pytest
 
-from tricklefair import KAssignment, assign_k, calculate_k, fixed_policy, heuristic_policy
+from tricklefair import KAssignment, assign_k, fixed_policy, heuristic_policy
+from tricklefair.redundancy import calculate_k
 
 
 def test_grid_degree_examples():
