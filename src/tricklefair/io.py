@@ -1,17 +1,12 @@
 """The file conventions every JSON and CSV file of the package follows.
 
-JSON is UTF-8 with a 2-space indent, sorted keys and one trailing newline:
-write_json writes the bytes of json.dump(doc, indent=2, sort_keys=True)
-plus "\n", with the same rules for keys, non-finite floats (NaN, Infinity)
-and values json cannot write (TypeError), but through its own encoder. A
-list is rendered a batch of _BATCH items at a time, each batch written as
-one piece, so no file is held whole in memory. Within a batch a list of
-only ints or only floats (exact types, so bools and numpy scalars take the
-general path) is formatted with one map of int.__repr__ or float.__repr__,
-and a list of dicts that share one set of string keys, such as per-node
-records, is formatted a column (key) at a time and zipped into records
-through one %-template. A container that holds itself recurses until
-RecursionError, where json raises ValueError.
+JSON is UTF-8 with a 2-space indent, sorted keys and one trailing newline,
+the bytes of json.dump(doc, indent=2, sort_keys=True) plus "\n". write_json
+walks non-empty lists, _BATCH items per written piece so that no file is
+held whole in memory, and dicts with only str keys. It formats a batch of
+only ints or only finite floats with one map of repr, and str, int, finite
+float and None itself; any other value is json's own text or error. A list
+or dict it walks that holds itself ends in RecursionError, not ValueError.
 
 CSV comes from csv.writer with its defaults (comma separated, CRLF line
 ends, None as an empty cell); a float, Python or numpy float64 alike, is
@@ -33,7 +28,12 @@ import json
 import math
 
 _BATCH = 256  # list items rendered per written piece, so no file is held whole in memory
+_JSON = json.JSONEncoder(indent=2, sort_keys=True)
 _encode_str = json.encoder.encode_basestring_ascii
+
+
+class Records(dict):
+    """Equal-length columns by name, written as a JSON list of rows {name: column[i], ...}, a column at a time."""
 
 
 def write_json(path, doc) -> None:
@@ -44,76 +44,52 @@ def write_json(path, doc) -> None:
 
 def _pieces(value, nl):
     """Yield the JSON text of value, whose line break and indent are nl."""
-    if isinstance(value, (list, tuple)) and value:
+    if isinstance(value, Records):
+        yield from _rows(value, nl)
+    elif isinstance(value, list) and value:
         inner = nl + "  "
         sep = "," + inner
-        for start in range(0, len(value), _BATCH):
-            yield ("[" + inner if start == 0 else sep) + sep.join(_texts(value[start:start + _BATCH], inner))
+        for i in range(0, len(value), _BATCH):
+            yield ("[" + inner if i == 0 else sep) + sep.join(_texts(value[i:i + _BATCH], inner))
         yield nl + "]"
-    elif isinstance(value, dict) and value:
+    elif isinstance(value, dict) and value and all(isinstance(key, str) for key in value):
         inner = nl + "  "
         lead = "{" + inner
         for key, item in sorted(value.items()):
-            yield lead + _key(key) + ": "
+            yield lead + _encode_str(key) + ": "
             yield from _pieces(item, inner)
             lead = "," + inner
         yield nl + "}"
+    elif isinstance(value, str):
+        yield _encode_str(value)
+    elif value is None:
+        yield "null"
+    elif type(value) is int or type(value) is float and math.isfinite(value):
+        yield repr(value)
     else:
-        yield _scalar(value)
+        yield _JSON.encode(value).replace("\n", nl)
+
+
+def _rows(records: Records, nl):
+    """Yield the JSON list of records' rows like a list's items, each batch formatted a column at a time."""
+    keys = sorted(records)
+    n = len(records[keys[0]]) if keys else 0
+    inner = nl + "  "
+    sep = "," + inner
+    field = inner + "  "
+    template = "{" + field + ("," + field).join(_encode_str(k).replace("%", "%%") + ": %s" for k in keys) + inner + "}"
+    for i in range(0, n, _BATCH):
+        columns = [_texts(records[k][i:i + _BATCH], field) for k in keys]
+        yield ("[" + inner if i == 0 else sep) + sep.join(map(template.__mod__, zip(*columns)))
+    yield nl + "]" if n else "[]"
 
 
 def _texts(values, nl) -> list[str]:
-    """The JSON text of each of values, all at the indent nl, formatted a column at a time."""
+    """The JSON text of each of values, all at the indent nl."""
     types = set(map(type, values))
-    if types == {int}:
-        return list(map(int.__repr__, values))
-    if types == {float}:
-        return list(map(float.__repr__ if all(map(math.isfinite, values)) else _float, values))
-    if types == {dict}:
-        keys = values[0].keys()
-        if keys and all(type(k) is str for k in keys) and all(rec.keys() == keys for rec in values):
-            keys = sorted(keys)
-            inner = nl + "  "
-            fields = ("," + inner).join(_encode_str(k).replace("%", "%%") + ": %s" for k in keys)
-            template = "{" + inner + fields + nl + "}"
-            columns = [_texts([rec[k] for rec in values], inner) for k in keys]
-            return list(map(template.__mod__, zip(*columns)))
+    if types == {int} or types == {float} and all(map(math.isfinite, values)):
+        return list(map(repr, values))
     return ["".join(_pieces(v, nl)) for v in values]
-
-
-def _scalar(value) -> str:
-    """The JSON text of any value but a non-empty list, tuple or dict."""
-    if isinstance(value, str):
-        return _encode_str(value)
-    if value is None:
-        return "null"
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
-    if isinstance(value, int):
-        return int.__repr__(value)  # also for a subclass such as IntEnum, as json does
-    if isinstance(value, float):
-        return _float(value)
-    if isinstance(value, (list, tuple)):
-        return "[]"
-    if isinstance(value, dict):
-        return "{}"
-    raise TypeError(f"Object of type {value.__class__.__name__} is not JSON serializable")
-
-
-def _float(value) -> str:
-    if math.isfinite(value):
-        return float.__repr__(value)  # numpy 2's repr of a float64 is "np.float64(...)"
-    return "NaN" if value != value else "Infinity" if value > 0 else "-Infinity"
-
-
-def _key(key) -> str:
-    if isinstance(key, str):
-        return _encode_str(key)
-    if key is None or isinstance(key, (int, float)):  # a bool is an int
-        return _encode_str(_scalar(key))
-    raise TypeError(f"keys must be str, int, float, bool or None, not {key.__class__.__name__}")
 
 
 def write_csv(path, header, rows) -> None:
@@ -125,9 +101,8 @@ def write_csv(path, header, rows) -> None:
 
 def write_records(path, columns: dict, **fields) -> None:
     """Write fields plus a "per_node" list of records {"id": i, name: columns[name][i], ...}."""
-    names = ("id", *columns)
-    records = [dict(zip(names, row)) for row in zip(itertools.count(), *columns.values())]
-    write_json(path, {**fields, "per_node": records})
+    n = len(next(iter(columns.values()), ()))
+    write_json(path, {**fields, "per_node": Records({"id": range(n), **columns})})
 
 
 def write_records_csv(path, columns: dict) -> None:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .io import _is_finite_number, _is_int, read_object, write_json
+from .io import Records, _is_finite_number, _is_int, read_object, write_json
 
 # The unit-disk test is inclusive with a tiny relative slack so that exact
 # radii such as sqrt(2) on an integer grid keep their boundary pairs despite
@@ -193,7 +193,7 @@ def save_topology(topology: Topology, path) -> None:
     n = topology.n
     xs, ys = ([None] * n, [None] * n) if topology.positions is None else topology.positions.T.tolist()
     doc = {
-        "nodes": [{"id": i, "x": x, "y": y} for i, x, y in zip(range(n), xs, ys)],
+        "nodes": Records({"id": range(n), "x": xs, "y": ys}),
         "range": topology.radio_range,
         "edges": None if topology.radio_range is not None else [list(e) for e in topology.edges],
     }

@@ -11,7 +11,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from tricklefair import io, simulator
-from tricklefair.io import read_records, write_json, write_records, write_records_csv
+from tricklefair.io import Records, read_records, write_json, write_records, write_records_csv
+from tricklefair.topology import generate_random_udg, save_topology
 
 FINITE = st.floats(allow_nan=False, allow_infinity=False)  # subnormals and +-1.8e308 included
 EXTREMES = {
@@ -140,6 +141,65 @@ def test_json_errors_are_type_errors_like_the_json_module(doc, tmp_path):
         json.dumps(doc, indent=2, sort_keys=True)
     with pytest.raises(TypeError):
         write_json(tmp_path / "doc.json", doc)
+
+
+@st.composite
+def record_columns(draw):
+    """Per-node columns of one length as the writers pass them, under some of their names."""
+    n = draw(st.integers(0, 8))
+    runs = draw(st.integers(0, 3))
+    columns = {
+        "id": range(n),
+        "degree": draw(st.lists(st.integers(0, 2**70), min_size=n, max_size=n)),
+        "p_tx": draw(st.lists(FINITE, min_size=n, max_size=n)),
+        "x": [None] * n,
+        "ci95": draw(st.lists(st.none() | FINITE, min_size=n, max_size=n)),
+        "counts_per_run": draw(
+            st.lists(st.lists(st.integers(0, 40), min_size=runs, max_size=runs), min_size=n, max_size=n)
+        ),
+        "k": tuple(draw(st.lists(st.integers(1, 6), min_size=n, max_size=n))),  # as KAssignment.k
+        "100%": draw(st.lists(st.text(max_size=3), min_size=n, max_size=n)),  # a name the template escapes
+    }
+    names = draw(st.sets(st.sampled_from(sorted(columns))))
+    return {name: columns[name] for name in names}
+
+
+WIDE_COLUMNS = {
+    "id": range(600),
+    "degree": list(range(600)),
+    "p_tx": [i / 7 for i in range(600)],
+    "y": [None] * 600,
+    "counts_per_run": [[i % 21] * 30 for i in range(600)],
+    "k": tuple(i % 6 + 1 for i in range(600)),
+}
+
+
+@settings(deadline=None)
+@given(record_columns())
+@example(WIDE_COLUMNS)
+@example({"id": range(0), "p_tx": [], "k": ()})
+def test_records_bytes_are_those_of_the_same_records_as_dicts(cols):
+    rows = [dict(zip(cols, row)) for row in zip(*cols.values())]
+    expected = json.dumps({"params": {"runs": 3}, "per_node": rows}, indent=2, sort_keys=True) + "\n"
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "records.json"
+        for batch in (io._BATCH, 1, 3):  # batch boundaries fall between rows
+            with mock.patch.object(io, "_BATCH", batch):
+                write_json(path, {"params": {"runs": 3}, "per_node": Records(cols)})
+            assert path.read_bytes() == expected.encode("utf-8"), batch
+
+
+def test_saving_a_large_topology_stays_under_a_memory_ceiling(tmp_path):
+    """Node records are rendered from their columns, with no dict per node: 2000 nodes peak under 0.5 MiB traced."""
+    topo = generate_random_udg(2000, 44.7, 1.22, 1)
+    tracemalloc.start()
+    try:
+        save_topology(topo, tmp_path / "topo.json")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (tmp_path / "topo.json").stat().st_size > 100_000
+    assert peak < 0.5 * 2**20
 
 
 def test_writing_a_large_simulation_stays_under_a_memory_ceiling(tmp_path):

@@ -120,6 +120,18 @@ def test_only_io_knows_the_per_node_layout():
     assert found == {"io.py"}
 
 
+def test_only_io_imports_json():
+    # one I/O layer: every JSON file is written by io.write_json and read by io.read_object
+    found = {
+        path.name
+        for path in (ROOT / "src" / "tricklefair").rglob("*.py")
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)))
+        if isinstance(node, ast.Import) and any(alias.name.split(".")[0] == "json" for alias in node.names)
+        or isinstance(node, ast.ImportFrom) and node.level == 0 and node.module.split(".")[0] == "json"
+    }
+    assert found == {"io.py"}
+
+
 @pytest.mark.parametrize(
     "script, args",
     [
