@@ -135,8 +135,8 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    sol = io.read_records(args.model, ("converged", "iterations", "residual"), ("p_tx",), ("degree", "k"))
-    res = io.read_records(args.sim, ("params",), ("mean_p",))
+    _, sol = io.read_records(args.model, ("converged", "iterations", "residual"), ("p_tx",), ("degree", "k"))
+    _, res = io.read_records(args.sim, ("params",), ("mean_p",))
     comparison = metrics.compare([rec["p_tx"] for rec in sol], [rec["mean_p"] for rec in res])
     degrees = [rec["degree"] for rec in sol]
     ks = [rec["k"] for rec in sol]

@@ -11,14 +11,15 @@ or dict it walks that holds itself ends in RecursionError, not ValueError.
 CSV comes from csv.writer with its defaults (comma separated, CRLF line
 ends, None as an empty cell); a float, Python or numpy float64 alike, is
 written with the shortest digits that read back to the same value, as repr
-gives them. JSON files are read through read_object.
+gives them. read_records is the only JSON reader.
 
-Only this module knows the per-node layout. Its writers take columns, a
-dict from field name to a sequence of one value per node: write_records
-writes record i as {"id": i} plus row i of every column into a JSON
-"per_node" list, and write_records_csv writes the same rows under the
-header id and the column names. read_records reads the JSON form back,
-checking every record a caller indexes before handing it out.
+Only this module knows the per-node layout, of result files ("per_node")
+and topologies ("nodes") alike. Its writers take columns, a dict from
+field name to a sequence of one value per node: write_records writes
+record i as {"id": i} plus row i of every column into a JSON list, and
+write_records_csv writes the same rows under the header id and the column
+names. read_records decodes a JSON file once and returns the object and
+its records, checked and sorted by id.
 """
 from __future__ import annotations
 
@@ -99,10 +100,10 @@ def write_csv(path, header, rows) -> None:
         writer.writerows(rows)
 
 
-def write_records(path, columns: dict, **fields) -> None:
-    """Write fields plus a "per_node" list of records {"id": i, name: columns[name][i], ...}."""
+def write_records(path, columns: dict, key="per_node", **fields) -> None:
+    """Write fields plus a list of records {"id": i, name: columns[name][i], ...} under key."""
     n = len(next(iter(columns.values()), ()))
-    write_json(path, {**fields, "per_node": Records({"id": range(n), **columns})})
+    write_json(path, {**fields, key: Records({"id": range(n), **columns})})
 
 
 def write_records_csv(path, columns: dict) -> None:
@@ -123,8 +124,15 @@ def _is_finite_number(value) -> bool:
         return False
 
 
-def read_object(path, error=ValueError) -> dict:
-    """Read a JSON object from path; anything else raises error (a ValueError) naming the file."""
+def read_records(path, required=(), fields=(), integers=(), *, key="per_node", error=ValueError):
+    """Read a JSON file of id-keyed records; return the object and its records sorted by id.
+
+    The top-level value must be an object holding every field named in
+    required and a list of objects under key. Each record needs an integer
+    "id", a finite number in every field named in fields and an integer in
+    every field named in integers; the ids must be exactly 0..n-1. Anything
+    else raises error (a ValueError) naming the file.
+    """
     with open(path, "r", encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
@@ -132,36 +140,29 @@ def read_object(path, error=ValueError) -> dict:
             raise error(f"{path}: invalid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise error(f"{path}: top-level value must be an object")
-    return doc
-
-
-def read_records(path, required, fields, integers=()) -> list[dict]:
-    """Read the per-node records of a JSON file, sorted by id.
-
-    The top-level value must be an object holding every field named in
-    required and a "per_node" list of objects. Each record needs an integer
-    "id", a finite number in every field named in fields and an integer in
-    every field named in integers; the ids must be exactly 0..n-1. Anything
-    else raises ValueError naming the file.
-    """
-    doc = read_object(path)
-    for field in (*required, "per_node"):
+    for field in (*required, key):
         if field not in doc:
-            raise ValueError(f"{path}: missing field {field!r}")
-    records = doc["per_node"]
+            raise error(f"{path}: missing field {field!r}")
+    records = doc[key]
     if not isinstance(records, list) or not all(isinstance(rec, dict) for rec in records):
-        raise ValueError(f"{path}: field 'per_node' must be a list of objects")
+        raise error(f"{path}: field {key!r} must be a list of objects")
     for rec in records:
-        i = rec.get("id")
+        if "id" not in rec:
+            raise error(f"{path}: every node record needs an 'id' field")
+        i = rec["id"]
         if not _is_int(i):
-            raise ValueError(f"{path}: per-node id {i!r} is not an integer")
+            raise error(f"{path}: node id {i!r} is not an integer")
         for field in fields:
             if not _is_finite_number(rec.get(field)):
-                raise ValueError(f"{path}: node {i}: field {field!r} must be a finite number")
+                raise error(f"{path}: node {i}: field {field!r} must be a finite number")
         for field in integers:
             if not _is_int(rec.get(field)):
-                raise ValueError(f"{path}: node {i}: field {field!r} must be an integer")
+                raise error(f"{path}: node {i}: field {field!r} must be an integer")
     records = sorted(records, key=lambda rec: rec["id"])
-    if [rec["id"] for rec in records] != list(range(len(records))):
-        raise ValueError(f"{path}: per-node ids must be exactly 0..{len(records) - 1}")
-    return records
+    ids = [rec["id"] for rec in records]
+    if ids != list(range(len(ids))):
+        for i, j in zip(ids, ids[1:]):
+            if i == j:
+                raise error(f"{path}: duplicate node id {i}")
+        raise error(f"{path}: node ids must be exactly 0..{len(ids) - 1}")
+    return doc, records

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .io import Records, _is_finite_number, _is_int, read_object, write_json
+from .io import _is_finite_number, _is_int, read_records, write_records
 
 # The unit-disk test is inclusive with a tiny relative slack so that exact
 # radii such as sqrt(2) on an integer grid keep their boundary pairs despite
@@ -192,52 +192,31 @@ def save_topology(topology: Topology, path) -> None:
     """Write a topology as JSON (schema documented in the README)."""
     n = topology.n
     xs, ys = ([None] * n, [None] * n) if topology.positions is None else topology.positions.T.tolist()
-    doc = {
-        "nodes": Records({"id": range(n), "x": xs, "y": ys}),
-        "range": topology.radio_range,
-        "edges": None if topology.radio_range is not None else [list(e) for e in topology.edges],
-    }
-    write_json(path, doc)
+    edges = None if topology.radio_range is not None else [list(e) for e in topology.edges]
+    write_records(path, {"x": xs, "y": ys}, "nodes", range=topology.radio_range, edges=edges)
 
 
 def load_topology(path) -> Topology:
     """Read a topology JSON file; the inverse of save_topology.
 
-    Exactly one of "range" / "edges" must be non-null. With "range", edges
-    are re-derived from node positions; with "edges", positions are optional
-    (all nodes or none).
+    Node i is the "nodes" record with id i, the ids checked by
+    io.read_records. Exactly one of "range" / "edges" must be non-null. With
+    "range", edges are re-derived from node positions; with "edges",
+    positions are optional (all nodes or none).
     """
-    doc = read_object(path, TopologyError)
-    nodes = doc.get("nodes")
-    if not isinstance(nodes, list) or not nodes:
+    doc, nodes = read_records(path, key="nodes", error=TopologyError)
+    if not nodes:
         raise TopologyError(f"{path}: field 'nodes' must be a non-empty list")
-    n = len(nodes)
-    seen: set[int] = set()
-    coords: dict[int, tuple[float, float] | None] = {}
-    for rec in nodes:
-        if not isinstance(rec, dict) or "id" not in rec:
-            raise TopologyError(f"{path}: every node record needs an 'id' field")
-        i = rec["id"]
-        if not _is_int(i):
-            raise TopologyError(f"{path}: node id {i!r} is not an integer")
-        if i in seen:
-            raise TopologyError(f"{path}: duplicate node id {i}")
-        seen.add(i)
-        x, y = rec.get("x"), rec.get("y")
+    coords = [(rec.get("x"), rec.get("y")) for rec in nodes]
+    for i, (x, y) in enumerate(coords):
         if (x is None) != (y is None):
             raise TopologyError(f"{path}: node {i} has only one of 'x'/'y'")
         if x is not None and not (_is_finite_number(x) and _is_finite_number(y)):
             raise TopologyError(f"{path}: node {i}: 'x' and 'y' must be finite numbers")
-        coords[i] = None if x is None else (x, y)
-    if seen != set(range(n)):
-        raise TopologyError(f"{path}: node ids must be exactly 0..{n - 1}")
-
-    with_pos = [i for i in range(n) if coords[i] is not None]
-    if with_pos and len(with_pos) != n:
+    placed = sum(x is not None for x, _ in coords)
+    if placed not in (0, len(nodes)):
         raise TopologyError(f"{path}: positions must be given for all nodes or for none")
-    positions = (
-        np.array([coords[i] for i in range(n)], dtype=float) if len(with_pos) == n else None
-    )
+    positions = np.array(coords, dtype=float) if placed else None
 
     radio_range = doc.get("range")
     edges = doc.get("edges")
@@ -254,6 +233,6 @@ def load_topology(path) -> Topology:
     if not isinstance(edges, list):
         raise TopologyError(f"{path}: field 'edges' must be a list of [i, j] pairs")
     try:
-        return Topology.from_edges(n, edges, positions)
+        return Topology.from_edges(len(nodes), edges, positions)
     except TopologyError as exc:
         raise TopologyError(f"{path}: {exc}") from exc

@@ -216,19 +216,22 @@ def test_compare_rejects_node_count_mismatch(tmp_path, grid_file, capsys):
 
 
 @pytest.mark.parametrize(
-    "which, mutate",
+    "which, mutate, message",
     [
-        ("model", lambda doc: doc["per_node"][0].pop("p_tx")),
-        ("model", lambda doc: doc["per_node"][3].pop("id")),
-        ("model", lambda doc: doc.update(per_node=5)),
-        ("model", lambda doc: doc["per_node"][1].update(id=True)),  # True == 1
-        ("sim", lambda doc: doc["per_node"][1].update(id=49)),
-        ("sim", lambda doc: doc["per_node"][2].update(mean_p=None)),
-        ("model", lambda doc: doc["per_node"][4].update(p_tx=10**400)),  # no float holds it
+        ("model", lambda doc: doc["per_node"][0].pop("p_tx"), "node 0: field 'p_tx' must be a finite number"),
+        ("model", lambda doc: doc["per_node"][3].pop("id"), "every node record needs an 'id' field"),
+        ("model", lambda doc: doc.update(per_node=5), "field 'per_node' must be a list of objects"),
+        ("model", lambda doc: doc["per_node"][1].update(id=True), "node id True is not an integer"),  # True == 1
+        ("sim", lambda doc: doc["per_node"][1].update(id=49), "node ids must be exactly 0..48"),
+        ("sim", lambda doc: doc["per_node"][5].update(id=2), "duplicate node id 2"),
+        ("sim", lambda doc: doc["per_node"][2].update(mean_p=None), "node 2: field 'mean_p' must be a finite number"),
+        ("model", lambda doc: doc["per_node"][4].update(p_tx=10**400), "node 4: field 'p_tx' must be a finite number"),
     ],
-    ids=["no-p_tx", "no-id", "per_node-not-a-list", "boolean-id", "ids-not-dense", "null-mean_p", "huge-p_tx"],
+    ids=[
+        "no-p_tx", "no-id", "per_node-not-a-list", "boolean-id", "ids-not-dense", "duplicate-id", "null-mean_p", "huge-p_tx"
+    ],
 )
-def test_compare_rejects_malformed_records(tmp_path, grid_file, capsys, which, mutate):
+def test_compare_rejects_malformed_records(tmp_path, grid_file, capsys, which, mutate, message):
     files = {"model": tmp_path / "sol.json", "sim": tmp_path / "sim.json"}
     run_cli("solve", "--topo", grid_file, "--fixed-k", 2, "-o", files["model"])
     run_cli("simulate", "--topo", grid_file, "--fixed-k", 2, "--runs", 2, "--intervals", 2, "-o", files["sim"])
@@ -238,7 +241,8 @@ def test_compare_rejects_malformed_records(tmp_path, grid_file, capsys, which, m
     capsys.readouterr()
     out = tmp_path / "cmp.csv"
     assert run_cli("compare", "--model", files["model"], "--sim", files["sim"], "-o", out) == 2
-    assert capsys.readouterr().err.startswith("error: ")
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
     assert not out.exists()
 
 

@@ -39,12 +39,25 @@ def test_records_read_back_with_their_ids_and_values(cols):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "records.json"
         write_records(path, cols, params={"runs": 3}, converged=True)
-        records = read_records(path, ("params", "converged"), ("p",), ("k",))
+        _, records = read_records(path, ("params", "converged"), ("p",), ("k",))
     assert [rec["id"] for rec in records] == list(range(len(cols["p"])))
     for name, values in cols.items():
         # repr tells 1.0 from 1 and -0.0 from 0.0
         assert [repr(rec[name]) for rec in records] == [repr(v) for v in values], name
     assert all(rec.keys() == {"id", *cols} for rec in records)
+
+
+@given(columns(), st.data())
+def test_records_read_back_in_id_order_whatever_the_file_order(cols, data):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "records.json"
+        write_records(path, cols, params={"runs": 3})
+        _, want = read_records(path, ("params",), ("p",), ("k",))
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        doc["per_node"] = data.draw(st.permutations(doc["per_node"]))
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        _, got = read_records(path, ("params",), ("p",), ("k",))
+    assert [repr(sorted(rec.items())) for rec in got] == [repr(sorted(rec.items())) for rec in want]
 
 
 @given(columns())

@@ -110,18 +110,18 @@ def test_runtime_imports_are_stdlib_numpy_or_the_package():
 
 
 def test_only_io_knows_the_per_node_layout():
-    # every per-node file is written by io.write_records and read by io.read_records
+    # every per-node file, a topology's nodes included, is written by io.write_records and read by io.read_records
     found = {
-        path.name
+        (path.name, node.value)
         for path in (ROOT / "src" / "tricklefair").rglob("*.py")
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)))
-        if isinstance(node, ast.Constant) and node.value == "per_node"
+        if isinstance(node, ast.Constant) and node.value in ("per_node", "id")
     }
-    assert found == {"io.py"}
+    assert found == {("io.py", "per_node"), ("io.py", "id")}
 
 
 def test_only_io_imports_json():
-    # one I/O layer: every JSON file is written by io.write_json and read by io.read_object
+    # one I/O layer: every JSON file is written by io.write_json and read by io.read_records
     found = {
         path.name
         for path in (ROOT / "src" / "tricklefair").rglob("*.py")

@@ -17,6 +17,8 @@ from tricklefair import (
     save_topology,
 )
 
+from tricklefair.cli import main
+
 from oracles import unit_disk_neighbors
 from strategies import small_networks
 
@@ -299,6 +301,24 @@ def test_load_errors_name_the_file(tmp_path, nodes, edges, message):
     assert str(exc.value).startswith(f"{path}: ")
 
 
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        ({"nodes": [], "range": None, "edges": []}, "field 'nodes' must be a non-empty list"),
+        ({"nodes": [], "range": 1.0, "edges": None}, "field 'nodes' must be a non-empty list"),
+        ({"range": None, "edges": []}, "missing field 'nodes'"),
+    ],
+    ids=["empty-edge-mode", "empty-range-mode", "no-nodes"],
+)
+def test_load_needs_nodes(tmp_path, doc, message):
+    path = tmp_path / "t.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(TopologyError, match=message) as exc:
+        load_topology(path)
+    assert str(exc.value).startswith(f"{path}: ")
+    assert main(["solve", "--topo", str(path), "--fixed-k", "1", "-o", str(tmp_path / "sol.json")]) == 4
+
+
 def test_range_mode_needs_positions(tmp_path):
     doc = {"nodes": [{"id": 0}, {"id": 1}], "range": 1.0, "edges": None}
     path = tmp_path / "nopos.json"
@@ -364,4 +384,16 @@ def test_save_load_round_trip(topo):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "topo.json"
         save_topology(topo, path)
+        assert load_topology(path) == topo
+
+
+@settings(max_examples=50, deadline=None, derandomize=True, database=None)
+@given(topologies(), st.data())
+def test_load_ignores_the_order_of_node_records(topo, data):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "topo.json"
+        save_topology(topo, path)
+        doc = json.loads(path.read_text())
+        doc["nodes"] = data.draw(st.permutations(doc["nodes"]))
+        path.write_text(json.dumps(doc))
         assert load_topology(path) == topo
