@@ -1,4 +1,4 @@
-"""numpy's ``default_rng((base_seed, run, node)).random()`` doubles, for every node of a run.
+"""numpy's ``default_rng((base_seed, run, node)).random()`` doubles, for every node of a run, in chunks.
 
 Building one ``Generator`` or ``PCG64`` per node costs microseconds each, in
 ``SeedSequence`` hashing and in bit-generator set-up. This module repeats
@@ -14,6 +14,10 @@ the doubles are the same bit for bit:
    The state is a pair of (high, low) uint64 arrays; each draw is one
    multiply-add step and the XSL-RR output ``rotr(high ^ low, high >> 58)``.
 3. ``Generator.random``: ``(x >> 11) * 2**-53``.
+
+The states stay in those arrays between calls, so a caller has each run's
+doubles written into its own buffer a few columns at a time, as its time
+windows need them, and never holds a whole run's draws.
 """
 from __future__ import annotations
 
@@ -90,13 +94,33 @@ def _pcg_step(hi: np.ndarray, lo: np.ndarray, inc_hi: np.ndarray, inc_lo: np.nda
     return new_hi, new_lo
 
 
-def substreams(base_seed: int, runs: range, n: int, count: int):
-    """Yield, for each run in ``runs`` (a range of step 1), an (n, count) array of doubles.
+def _stream(hi: np.ndarray, lo: np.ndarray, inc_hi: np.ndarray, inc_lo: np.ndarray):
+    """``draw(out)``: fill ``out``, shape (runs, n, count), with the next ``count`` doubles of every generator."""
 
-    Row i equals ``np.random.default_rng((base_seed, run, i)).random(count)``,
-    so a slice of the runs draws the same rows as the whole range; only the
-    runs asked for are hashed and stepped. Run and node ids must stay below
-    2**32 (one entropy word each). Consecutive runs are hashed and stepped
+    def draw(out: np.ndarray) -> None:
+        nonlocal hi, lo
+        for k in range(out.shape[-1]):
+            hi, lo = _pcg_step(hi, lo, inc_hi, inc_lo)
+            xored, rot = hi ^ lo, hi >> 58
+            raw = (xored >> rot) | (xored << ((64 - rot) & 63))
+            np.multiply((raw >> 11).reshape(out.shape[:-1]), 2.0**-53, out=out[..., k])
+
+    return draw
+
+
+def substreams(base_seed: int, runs: range, n: int):
+    """Yield ``(block, draw)`` for consecutive blocks of the runs in ``runs`` (a range of step 1).
+
+    ``draw(out)`` fills ``out``, an array of shape (len(block), n, count)
+    such as a view of the caller's buffer, with the next ``count`` doubles of
+    every node of every run in ``block``: node i of run r continues
+    ``np.random.default_rng((base_seed, r, i)).random()``, so draws taken in
+    any chunks equal one ``random(total)`` call, and a slice of the runs
+    draws the same rows as the whole range; only the runs asked for are
+    hashed and stepped. A block keeps only its generators' states (four
+    uint64 words per node), so drawing a run a time window at a time holds
+    one window of doubles. Run and node ids must stay below 2**32
+    (one entropy word each). Consecutive runs are hashed and stepped
     together in blocks of up to ``_BLOCK`` rows (always whole runs), which
     amortizes numpy call overhead on small networks and caps memory on large
     ones.
@@ -104,7 +128,8 @@ def substreams(base_seed: int, runs: range, n: int, count: int):
     per_block = max(1, _BLOCK // n)
     nodes = np.arange(n, dtype=np.uint64)
     for first in range(runs.start, runs.stop, per_block):
-        run_ids = np.arange(first, min(first + per_block, runs.stop), dtype=np.uint64)[:, None]
+        block = range(first, min(first + per_block, runs.stop))
+        run_ids = np.arange(block.start, block.stop, dtype=np.uint64)[:, None]
         w = [word.ravel() for word in _seed_state(base_seed, run_ids, nodes)]
         # generate_state(4, uint64) pairs the 32-bit words little-endian;
         # pcg64_set_seed reads words 0-1 as the seed and 2-3 as the increment
@@ -112,10 +137,4 @@ def substreams(base_seed: int, runs: range, n: int, count: int):
         inc_hi, inc_lo = (inc_hi << 1) | (inc_lo >> 63), (inc_lo << 1) | 1  # PCG64 makes it odd
         lo = inc_lo + seed_lo  # state 0 stepped once is inc; then state += seed
         hi, lo = _pcg_step(inc_hi + seed_hi + (lo < seed_lo), lo, inc_hi, inc_lo)
-        doubles = np.empty((lo.size, count))
-        for k in range(count):
-            hi, lo = _pcg_step(hi, lo, inc_hi, inc_lo)
-            xored, rot = hi ^ lo, hi >> 58
-            raw = (xored >> rot) | (xored << ((64 - rot) & 63))
-            np.multiply(raw >> 11, 2.0**-53, out=doubles[:, k])
-        yield from doubles.reshape(-1, n, count)
+        yield block, _stream(hi, lo, inc_hi, inc_lo)

@@ -11,18 +11,26 @@ depend only on positions within an interval, so results do not depend on
 the interval length. Results are deterministic for a fixed base seed: run r,
 node i draws from an independent substream, the doubles of
 ``numpy.random.default_rng((base_seed, r, i))``, which ``_rng.py`` draws
-for many nodes at once in uint64 arrays. One unstable sort orders a run's
-events; only when two event times tie is the order refined, so that ties
-break by node id, then interval. Interval m of a node starts at the double
-phase + m, and every firing instant stays inside its own interval (one that
-rounds onto the next start moves to the double below it). A reception at t
-belongs to the receiver's interval that holds t, so a delivery costs one
-float comparison with the start of the receiver's current interval, and a
-run stops after its last measured decision.
+for many nodes at once in uint64 arrays. Interval m of a node starts at the
+double phase + m, and every firing instant stays inside its own interval
+(one that rounds onto the next start moves to the double below it). So a
+run is drawn, scheduled and decided one time window at a time: the window
+[a, a + w) holds the events of intervals a - 1 ... a + w - 1 that fall in
+it, w = max(1, _WINDOW_EVENTS // n) intervals, and a run holds one window
+of draws and schedule whatever its number of intervals (the runs of one
+``_rng`` block, up to 1,024 rows of nodes, share one buffer of draws, so on
+a tiny topology that buffer reaches 1,024 x (w + 1) doubles). One unstable sort
+orders a window's events; only when two event times tie is the order
+refined, so that ties break by node id, then interval, and the windows'
+events in turn are the whole run's in order. A reception at t belongs to
+the receiver's interval that holds t, so a delivery costs one float
+comparison with the start of the receiver's current interval, and a run
+stops after its last measured decision.
 K assignments on one topology share each run's draws and so its event
-schedule (common random numbers): a run builds it once, and the decision
-loop runs over it once per assignment, reading memoryviews of the sorted
-times, node ids and next interval starts and a measured-flag column.
+schedule (common random numbers): a run builds each window once, and the
+decision loop runs over it once per assignment, reading memoryviews of the
+sorted times, node ids and next interval starts and a measured-flag column,
+and carrying its counters from window to window.
 
 Runs are independent: ``run_steady_states`` splits them into contiguous
 spans, one per CPU the process may use (``os.sched_getaffinity``), simulates
@@ -50,6 +58,10 @@ from ._rng import substreams
 from .io import _is_int, write_records, write_records_csv
 
 CI95_Z = 1.96  # normal approximation quantile for two-sided 95%
+# Events per time window of a run: about 0.5 MiB of schedule. A 2000-node run
+# of 2 + 20 intervals took 14.7 ms of CPU in windows of 8,192 events and
+# 15.2 ms in one window; windows of 4,096 and 2,048 took 15.4 and 16.2 ms.
+_WINDOW_EVENTS = 8192
 
 
 @dataclass(frozen=True)
@@ -79,72 +91,97 @@ class SimulationResult:
     params: TrickleParams
 
 
-def _single_run(neighbor_lists, ks_list, params: TrickleParams, draws: np.ndarray) -> list[list[int]]:
-    """Transmission counts of one run per K list; ``draws`` row i is node i's substream.
+def _simulate_block(neighbor_lists, ks_list, params: TrickleParams, runs: int, draw) -> list[list[list[int]]]:
+    """Transmission counts [run][K list][node] of ``runs`` runs drawn side by side.
 
-    Node i's phase is draws[i, 0]; interval m starts at the double
-    phase + m, and its own event lies in [start + 0.5, next start): an
-    instant that rounds onto the next start moves to the double below it.
-    The schedule depends only on the draws, so it is built once, and each K
-    list runs the decision loop over memoryviews of it with its own state.
+    ``draw(out)`` fills ``out``, shape (runs, n, count), with the next
+    ``count`` doubles of every node of every run: a node's first double is
+    its phase, the next one the offset of interval 0, and so on. Node i's
+    own event of interval m lies in [start + 0.5, next start), start =
+    phase + m, so the time window [a, a + w) holds only events of intervals
+    a - 1 ... a + w - 1: the runs advance through the windows together, each
+    window draws the columns it adds into one buffer, and each K list
+    carries its decision-loop state (``_decide``) from window to window.
+    """
+    n = len(neighbor_lists)
+    first, last = params.warmup_intervals, params.warmup_intervals + params.measured_intervals
+    width = max(1, _WINDOW_EVENTS // n)
+    phases = np.empty((runs, n))
+    draw(phases[:, :, None])
+    states = [[([0] * n, phase.tolist(), [0] * n) for _ in ks_list] for phase in phases]
+    end_times = [math.inf] * runs  # the time of each run's last measured decision, once drawn
+    offsets = np.empty((runs, n, min(width, last + 1) + 1))  # a window's intervals lo ... hi - 1
+    cols = 0
+    # One trailing interval, `last`, beyond the measured window keeps
+    # late-phase neighbors firing while early-phase nodes finish their last
+    # measured interval.
+    for a in range(0, last + 1, width):
+        if a > max(end_times):  # no later event changes a count
+            break
+        lo, hi = max(a - 1, 0), min(a + width, last + 1)
+        if lo < a:  # interval a - 1, the previous window's last column
+            offsets[:, :, 0] = offsets[:, :, cols - 1]
+        cols = hi - lo
+        draw(offsets[:, :, a - lo : cols])
+        for r, (phase, run_states) in enumerate(zip(phases, states)):
+            if a > end_times[r]:
+                continue
+            starts = phase[:, None] + np.arange(lo, hi + 1.0)
+            # the same float operations as phase + m + offsets[m] one event at a time
+            times = starts[:, :-1] + (0.5 + 0.5 * offsets[r, :, :cols])
+            np.minimum(times, np.nextafter(starts[:, 1:], 0.0), out=times)
+            if lo <= last - 1 < hi:
+                end_times[r] = times[:, last - 1 - lo].max()
+            times = times.ravel()
+            inside = np.flatnonzero((times >= a) & (times < a + width) & (times <= end_times[r]))
+            times = times[inside]
+            order = np.argsort(times)
+            times = times[order]
+            if np.any(times[1:] == times[:-1]):
+                # ties (measure zero) break by row-major index: node id, then interval
+                order = order[np.lexsort((order, times))]
+            index = inside[order]
+            nodes, intervals = np.divmod(index, hi - lo)
+            measured = ((intervals >= first - lo) & (intervals < last - lo)).tobytes()
+            index += nodes + 1  # the flat index of starts[nodes, intervals + 1]
+            events = memoryview(times), memoryview(nodes), measured, memoryview(starts.ravel()[index])
+            for ks, state in zip(ks_list, run_states):
+                _decide(neighbor_lists, ks, state, events)
+    return [[counts for _, _, counts in run_states] for run_states in states]
+
+
+def _decide(neighbor_lists, ks, state, events) -> None:
+    """The decision loop over one window's events, carrying one K list's (cnt, start, counts) on.
+
     cnt[i] counts node i's receptions at t >= start[i], the start of the
     interval whose own event comes next; that event reads the counter,
     zeroes it and sets start[i] to the next start. Since no own event leaves
     its interval, every reception lands in the interval that holds it.
     """
-    n, total = draws.shape[0], draws.shape[1] - 1
-    first, last = params.warmup_intervals, params.warmup_intervals + params.measured_intervals
-    starts = draws[:, :1] + np.arange(total + 1.0)
-    # The same float operations as phase + m + offsets[m] one event at a
-    # time, in row-major (node, m) order.
-    times = starts[:, :-1] + (0.5 + 0.5 * draws[:, 1:])
-    np.minimum(times, np.nextafter(starts[:, 1:], 0.0), out=times)
-    end_time = times[:, last - 1].max()  # the last measured decision
-    times = times.ravel()
-    order = np.argsort(times)
-    times = times[order]
-    if np.any(times[1:] == times[:-1]):
-        # ties (measure zero) break by row-major index: node id, then interval
-        order = order[np.lexsort((order, times))]
-    # no later event changes a count
-    end = int(np.searchsorted(times, end_time, side="right"))
-    order, times = order[:end], times[:end]
-
-    nodes, intervals = np.divmod(order, total)
-    measured = ((intervals >= first) & (intervals < last)).tobytes()
-    del intervals  # one whole-run column fewer alive during the gather and the loop
-    order += nodes + 1  # the flat index of starts[nodes, intervals + 1]
-    events = memoryview(times), memoryview(nodes), measured, memoryview(starts.ravel()[order])
-    result = []
-    for ks in ks_list:
-        cnt, start, counts = [0] * n, starts[:, 0].tolist(), [0] * n
-        for t, i, flag, nxt in zip(*events):
-            c = cnt[i]
-            cnt[i] = 0
-            start[i] = nxt
-            if c >= ks[i]:
-                continue
-            if flag:
-                counts[i] += 1
-            for j in neighbor_lists[i]:
-                if t >= start[j]:
-                    cnt[j] += 1
-        result.append(counts)
-    return result
+    cnt, start, counts = state
+    for t, i, flag, nxt in zip(*events):
+        c = cnt[i]
+        cnt[i] = 0
+        start[i] = nxt
+        if c >= ks[i]:
+            continue
+        if flag:
+            counts[i] += 1
+        for j in neighbor_lists[i]:
+            if t >= start[j]:
+                cnt[j] += 1
 
 
 def _simulate_span(neighbor_lists, ks_list, params: TrickleParams, counts: np.ndarray, runs: range) -> None:
     """Fill ``counts[a, r]`` with the counts of run r under K list a, for each r in ``runs``."""
-    # One trailing interval beyond the measured window keeps late-phase
-    # neighbors firing while early-phase nodes finish their last measured
-    # interval. Warmup intervals are discarded, but the start-up transient
-    # is longer than the default of 2: on the 7x7 grid at K=1 the corner
-    # rate climbs from 0.47 (interval 0) to 0.53 (interval 2) and settles
-    # near 0.57 only from interval 6, so short windows read low.
-    total = params.warmup_intervals + params.measured_intervals + 1
-    for r, run_draws in zip(runs, substreams(params.base_seed, runs, len(neighbor_lists), total + 1)):
-        for a, run_counts in enumerate(_single_run(neighbor_lists, ks_list, params, run_draws)):
-            counts[a, r] = run_counts
+    # Warmup intervals are discarded, but the start-up transient is longer
+    # than the default of 2: on the 7x7 grid at K=1 the corner rate climbs
+    # from 0.47 (interval 0) to 0.53 (interval 2) and settles near 0.57
+    # only from interval 6, so short windows read low.
+    for block, draw in substreams(params.base_seed, runs, len(neighbor_lists)):
+        for r, run_counts in zip(block, _simulate_block(neighbor_lists, ks_list, params, len(block), draw)):
+            for a, assignment_counts in enumerate(run_counts):
+                counts[a, r] = assignment_counts
 
 
 def run_steady_states(topology, k_assignments, params: TrickleParams) -> list[SimulationResult]:

@@ -176,13 +176,15 @@ def generate_grid(rows: int, cols: int, spacing: float = 1.0, radio_range: float
 def generate_random_udg(n: int, side: float, radio_range: float, seed: int) -> Topology:
     """Random unit-disk topology: n nodes placed i.i.d. uniformly in [0, side]^2.
 
-    Deterministic for a fixed seed. Use the reported mean degree to tune side
-    and radio_range toward a target density.
+    Deterministic for a fixed seed, an integer >= 0. Use the reported mean
+    degree to tune side and radio_range toward a target density.
     """
     if not _is_int(n) or n < 1:
         raise TopologyError("n must be a positive integer")
     if not 0 < side < math.inf:  # written so that NaN fails it too
         raise TopologyError("side must be positive and finite")
+    if not _is_int(seed) or seed < 0:  # a usage error, as for TrickleParams.base_seed
+        raise ValueError("seed must be an integer >= 0")
     rng = np.random.default_rng(seed)
     positions = rng.uniform(0.0, side, size=(n, 2))
     return Topology.from_positions(positions, radio_range)

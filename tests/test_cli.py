@@ -278,6 +278,26 @@ def test_gen_rejects_non_finite_range(tmp_path, capsys, args, message):
 
 
 @pytest.mark.parametrize(
+    "seed, message",
+    [
+        ("-1", "error: seed must be an integer >= 0"),
+        ("1.5", "argument --seed: invalid int value: '1.5'"),
+        ("true", "argument --seed: invalid int value: 'true'"),
+    ],
+    ids=["negative", "float", "bool"],
+)
+def test_gen_random_rejects_a_seed_that_is_not_a_non_negative_integer(tmp_path, capsys, seed, message):
+    out = tmp_path / "topo.json"
+    try:  # argparse rejects a non-integer itself, by SystemExit
+        code = run_cli("gen", "random", "--n", 5, "--side", 3, "--range", 1.5, f"--seed={seed}", "-o", out)
+    except SystemExit as exc:
+        code = exc.code
+    assert code == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
     "spacing, message",
     [("inf", "spacing must be positive and finite"), (1e308, "positions must be finite")],
     ids=["inf", "overflow"],
@@ -552,14 +572,16 @@ def test_cli_fuzz_reproduce_arguments(table, seed, runs, intervals):
     assert err == "" if valid else err.startswith("error: ")
 
 
-# Each request is petabytes, past the 128 TiB user address space, so it
-# fails at allocation whatever the overcommit setting and commits nothing.
+# Each request is petabytes or more, past the 128 TiB user address space, so
+# it fails at allocation whatever the overcommit setting and commits nothing.
+# A huge --intervals is not among them: a run holds one time window at a time,
+# so it would simulate every interval.
 @pytest.mark.parametrize(
     "argv",
     [
-        ["simulate", "--fixed-k=1", "--intervals=1000000000000", "--output=s.json"],
+        ["reproduce", "--table=1", "--runs=1000000000000", "--out=rep"],  # the counts mapping
         ["gen", "random", "--n=100000000000000", "--side=10", "--range=1", "--output=r.json"],
-        ["reproduce", "--table=1", "--intervals=1000000000000", "--out=rep"],
+        ["reproduce", "--table=3", "--runs=1000000000000000000", "--out=rep"],  # past 2**63 bytes
         ["gen", "grid", "--rows=100000000", "--cols=100000000", "--output=g.json"],
         ["simulate", "--fixed-k=1", "--runs=1000000000000", "--output=s.json"],  # the counts mapping
         ["simulate", "--fixed-k=1", "--runs=1000000000000000000", "--output=s.json"],  # past 2**63 bytes

@@ -1,6 +1,8 @@
+import itertools
 import json
 import os
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -18,7 +20,7 @@ from tricklefair import (
 from tricklefair import simulator
 from tricklefair._rng import _BLOCK, substreams
 from tricklefair.cli import _table_configs, bundled_random_topology
-from tricklefair.simulator import _single_run, run_steady_states, save_result, save_result_csv
+from tricklefair.simulator import _simulate_block, run_steady_states, save_result, save_result_csv
 
 from oracles import decision_loop, estimate_probabilities, single_run
 from strategies import small_networks
@@ -93,36 +95,69 @@ def test_random_networks_count_bounds(case, runs, intervals, warmup, seed):
     assert np.all(res.counts[:, forced] == intervals)
 
 
+def drawn(base_seed, runs, n, count, chunks=()):
+    """The (n, count) doubles of each run of ``runs``, taken from substreams in ``chunks`` and then the rest."""
+    result = []
+    for block, draw in substreams(base_seed, runs, n):
+        doubles = np.empty((len(block), n, count))
+        for start, stop in itertools.pairwise([0, *itertools.accumulate(chunks), count]):
+            draw(doubles[:, :, start:stop])
+        result += list(doubles)
+        assert len(result) == block.stop - runs.start
+    return result
+
+
 def test_substreams_match_default_rng():
     n, count = 300, 14
     # zero words, one full word, word boundaries and multi-word seeds
     for seed in (0, 1, 7, 2**32 - 1, 2**32, 2**40 + 5, 2**70 + 3):
-        got = list(substreams(seed, range(30), n, count))
+        got = drawn(seed, range(30), n, count)
         assert len(got) == 30
         for run in (0, 1, 29):
             want = [np.random.default_rng((seed, run, i)).random(count) for i in range(n)]
             assert np.array_equal(got[run], want), f"base_seed {seed}, run {run}"
     # one draw per node; a row cap that falls inside the third run (blocks of
-    # two runs, the last one short); a run larger than the cap on its own
-    for n, runs, count in ((49, 45, 1), (_BLOCK // 3 + 17, 5, 3), (_BLOCK + 5, 2, 2)):
-        got = list(substreams(5, range(runs), n, count))
-        assert len(got) == runs
-        for run in range(runs):
-            want = [np.random.default_rng((5, run, i)).random(count) for i in range(n)]
-            assert np.array_equal(got[run], want), f"n {n}, run {run}"
+    # two runs, the last one short); a run larger than the cap on its own.
+    # The last two are also drawn in chunks of 1, 2 and the rest, as time
+    # windows take them.
+    for n, runs, count in ((49, 45, 1), (_BLOCK // 3 + 17, 5, 3), (_BLOCK + 5, 2, 4)):
+        for chunks in ((), (1, 2)) if count >= 3 else ((),):
+            got = drawn(5, range(runs), n, count, chunks)
+            assert len(got) == runs
+            for run in range(runs):
+                want = [np.random.default_rng((5, run, i)).random(count) for i in range(n)]
+                assert np.array_equal(got[run], want), f"n {n}, run {run}, chunks {chunks}"
 
 
 @pytest.mark.parametrize("n, count", [(49, 3), (_BLOCK // 3 + 17, 2), (_BLOCK + 5, 1)])
 def test_substreams_of_a_run_range_equal_the_rows_from_run_zero(n, count):
     # a worker draws only its own runs; blocks then start at its first run
-    whole = list(substreams(9, range(12), n, count))
+    whole = drawn(9, range(12), n, count)
     for first, stop in ((0, 1), (3, 4), (2, 9), (5, 12), (11, 12)):
-        got = list(substreams(9, range(first, stop), n, count))
+        got = drawn(9, range(first, stop), n, count)
         assert len(got) == stop - first
         for run, rows in zip(range(first, stop), got):
             assert np.array_equal(rows, whole[run]), (first, stop, run)
             for node in (0, n // 2, n - 1):
                 assert np.array_equal(rows[node], np.random.default_rng((9, run, node)).random(count))
+
+
+def windowed(neighbor_lists, ks_list, params, draws):
+    """Counts [run][K list] of runs whose draws are ``draws[run]``, one (n, count) table each.
+
+    The tables are handed to ``_simulate_block`` a few columns at a time, as
+    its windows ask for them, like one block of ``substreams``.
+    """
+    taken = 0
+
+    def draw(out):
+        nonlocal taken
+        count = out.shape[2]
+        taken += count
+        assert taken <= draws.shape[2]  # a run never reads past its last interval
+        out[...] = draws[:, :, taken - count : taken]
+
+    return _simulate_block(neighbor_lists, ks_list, params, len(draws), draw)
 
 
 def test_tied_event_times_break_by_node_then_interval():
@@ -134,12 +169,14 @@ def test_tied_event_times_break_by_node_then_interval():
     rows = np.random.default_rng(4).random((3, params.warmup_intervals + params.measured_intervals + 2))
     draws = rows[np.arange(topo.n) % 3]
     ks_list = [[k] * topo.n for k in (1, 2, 3)]
-    got = _single_run(topo.neighbor_lists, ks_list, params, draws)
-    for ks, counts in zip(ks_list, got):
-        want = decision_loop(topo.neighbor_lists, ks, params, draws[:, 0], 0.5 + 0.5 * draws[:, 1:])
-        assert counts == want.tolist()
-        # one K list alone reads the same schedule, so no state leaks between lists
-        assert _single_run(topo.neighbor_lists, [ks], params, draws) == [counts]
+    for events in (1, simulator._WINDOW_EVENTS):  # windows of one interval, and one window
+        with mock.patch.object(simulator, "_WINDOW_EVENTS", events):
+            [got] = windowed(topo.neighbor_lists, ks_list, params, draws[None])
+            for ks, counts in zip(ks_list, got):
+                want = decision_loop(topo.neighbor_lists, ks, params, draws[:, 0], 0.5 + 0.5 * draws[:, 1:])
+                assert counts == want.tolist()
+                # one K list alone reads the same schedule, so no state leaks between lists
+                assert windowed(topo.neighbor_lists, [ks], params, draws[None]) == [[counts]]
 
 
 # The largest draw below 1: its offset 0.5 + 0.5 d rounds to exactly 1.0.
@@ -169,11 +206,47 @@ def test_offsets_that_round_to_one_match_the_decision_loop(case, rows, top, inte
     table[:, 1:][rng.random((rows, warmup + intervals + 1)) < top] = _TOP_DRAW
     draws = table[np.arange(topo.n) % rows]
     ks_list = [[k] * topo.n for k in (1, 2, 3)]
-    got = _single_run(topo.neighbor_lists, ks_list, params, draws)
+    [got] = windowed(topo.neighbor_lists, ks_list, params, draws[None])
     for ks, counts in zip(ks_list, got):
         want = decision_loop(topo.neighbor_lists, ks, params, draws[:, 0], 0.5 + 0.5 * draws[:, 1:])
         assert counts == want.tolist(), ks[0]
-        assert _single_run(topo.neighbor_lists, [ks], params, draws) == [counts], ks[0]
+        assert windowed(topo.neighbor_lists, [ks], params, draws[None]) == [[counts]], ks[0]
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(
+    small_networks(),
+    st.integers(1, 3),
+    st.integers(1, 3),
+    st.sampled_from([0.0, 0.25, 1.0]),
+    st.integers(1, 8),
+    st.integers(0, 2),
+    st.integers(1, 3),
+    st.integers(0, 2**32 - 1),
+)
+def test_windows_match_the_whole_run_decision_loop(case, runs, rows, share, intervals, warmup, lists, seed):
+    # Time windows of 1 interval, 3 intervals and a whole run (1, 3n and the
+    # default events), so a run spans one, two or many windows. Several runs
+    # of one substreams block advance through the windows together, and each
+    # stops after its own last measured decision. Nodes that share a row of
+    # draws fire at equal times. Draws of 0.0, 0.5 and _TOP_DRAW put events
+    # on window boundaries (phase 0.5 and offset 0.5 fire at an integer
+    # time) and move others to the double below their next interval's start.
+    topo, ka = case
+    params = TrickleParams(measured_intervals=intervals, warmup_intervals=warmup, runs=runs)
+    rng = np.random.default_rng(seed)
+    table = rng.random((runs, rows, warmup + intervals + 2))
+    edge = rng.random(table.shape) < share
+    table[edge] = rng.choice([0.0, 0.5, _TOP_DRAW], size=np.count_nonzero(edge))
+    draws = table[:, np.arange(topo.n) % rows]
+    ks_list = [list(ka.k), [1] * topo.n, [2] * topo.n][:lists]
+    want = [
+        [decision_loop(topo.neighbor_lists, ks, params, d[:, 0], 0.5 + 0.5 * d[:, 1:]).tolist() for ks in ks_list]
+        for d in draws
+    ]
+    for events in (1, 3 * topo.n, simulator._WINDOW_EVENTS):
+        with mock.patch.object(simulator, "_WINDOW_EVENTS", events):
+            assert windowed(topo.neighbor_lists, ks_list, params, draws) == want, events
 
 
 @settings(max_examples=50, deadline=None, derandomize=True, database=None)
@@ -257,10 +330,10 @@ class SpanFailure(Exception):
 @pytest.mark.parametrize("failing_first", [2, 0])  # a forked child's span, the caller's own span
 def test_a_failed_span_raises_its_exception_and_leaves_no_child(failing_first, grid, monkeypatch):
     # runs 0-1 are simulated by the caller, runs 2-3 and 4-5 in forked children
-    def draw(base_seed, runs, n, count):
+    def draw(base_seed, runs, n):
         if runs.start == failing_first:
             raise SpanFailure(runs)
-        return substreams(base_seed, runs, n, count)
+        return substreams(base_seed, runs, n)
 
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
     monkeypatch.setattr(simulator, "substreams", draw)
@@ -270,9 +343,10 @@ def test_a_failed_span_raises_its_exception_and_leaves_no_child(failing_first, g
 
 
 def test_large_network_matches_reference_simulator():
-    # about 8,500 events per run from 700 nodes; two K assignments share
-    # each run's schedule (runs split across hash-and-step blocks are
-    # covered by test_substreams_match_default_rng)
+    # about 8,500 events per run from 700 nodes, in time windows of 11
+    # intervals and of the rest; two K assignments share each run's
+    # schedule (runs split across hash-and-step blocks are covered by
+    # test_substreams_match_default_rng)
     topo = generate_random_udg(700, 26.5, 1.6, 3)
     kas = [assign_k(topo, fixed_policy(k)) for k in (1, 2)]
     params = TrickleParams(runs=2, base_seed=11)
@@ -280,20 +354,30 @@ def test_large_network_matches_reference_simulator():
         assert np.array_equal(res.counts, [single_run(topo, ka.k, params, r) for r in range(2)])
 
 
-def test_one_large_run_stays_within_a_few_mib():
-    # The decision loop reads memoryviews, so no per-event Python object
-    # outlives its event: about 2.5 MiB at 2000 nodes, where lists of a whole
-    # run's events would take the peak past 7 MiB.
-    topo = generate_random_udg(2000, 44.7, 1.22, 7)
-    ka = assign_k(topo, fixed_policy(2))
-    params = TrickleParams(runs=1, measured_intervals=20)
+def traced_peak_of_one_run(topo, ka, params):
     tracemalloc.start()
     try:
         run_steady_state(topo, ka, params)
-        peak = tracemalloc.get_traced_memory()[1]
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 5 * 2**20, peak
+
+
+def test_one_large_run_stays_within_a_few_mib():
+    # The decision loop reads memoryviews, so no per-event Python object
+    # outlives its event, and a run holds one time window of draws and
+    # schedule: about 1.2 MiB at 2000 nodes, where lists of a whole run's
+    # events would take the peak past 7 MiB.
+    topo = generate_random_udg(2000, 44.7, 1.22, 7)
+    peak = traced_peak_of_one_run(topo, assign_k(topo, fixed_policy(2)), TrickleParams(runs=1, measured_intervals=20))
+    assert peak < 2 * 2**20, peak
+
+
+def test_memory_of_a_run_does_not_grow_with_its_intervals():
+    # 2M events: a whole-run schedule and its draws would peak near 96 MiB
+    topo = generate_random_udg(2000, 44.7, 1.22, 7)
+    peak = traced_peak_of_one_run(topo, assign_k(topo, fixed_policy(2)), TrickleParams(runs=1, measured_intervals=1000))
+    assert peak < 2 * 2**20, peak
 
 
 def test_two_node_pair_mean_near_model_value(two_node):

@@ -82,6 +82,14 @@ def test_random_udg_node_count_must_be_a_positive_integer(n):
         generate_random_udg(n, 5.0, 1.3, seed=4)
 
 
+@pytest.mark.parametrize("seed", [-1, 1.5, True])
+def test_random_udg_seed_must_be_a_non_negative_integer(seed):
+    # a ValueError, not a TopologyError: the CLI reads it as a usage error (exit 2)
+    with pytest.raises(ValueError, match="seed must be an integer >= 0") as excinfo:
+        generate_random_udg(5, 5.0, 1.3, seed=seed)
+    assert not isinstance(excinfo.value, TopologyError)
+
+
 def test_random_udg_is_deterministic():
     a = generate_random_udg(30, 5.0, 1.3, seed=4)
     b = generate_random_udg(30, 5.0, 1.3, seed=4)
