@@ -27,14 +27,21 @@ the receiver's interval that holds t, so a delivery costs one float
 comparison with the start of the receiver's current interval, and a run
 stops after its last measured decision.
 K assignments on one topology share each run's draws and so its event
-schedule (common random numbers): a run builds each window once, and the
-decision loop runs over it once per assignment, reading memoryviews of the
-sorted times, node ids and next interval starts and a measured-flag column,
-and carrying its counters from window to window.
+schedule (common random numbers): a run builds each window once, and one
+pass of the decision loop decides it for every assignment, reading
+memoryviews of the sorted times, node ids and next interval starts and a
+measured-flag column, and carrying its counters from window to window. With
+two or more assignments, node i's reception counter and its count are each
+one int that holds a bit field per assignment, and one subtraction from a
+per-node key and one mask tell in which assignments the node transmits
+(several small counters in one machine word, as in Lamport, *Multiple byte
+processing with full-word instructions*, CACM 18(8), 1975); one assignment
+compares its counter with K itself.
 
 Runs are independent: ``run_steady_states`` splits them into contiguous
-spans, one per CPU the process may use (``os.sched_getaffinity``), simulates
-the first span itself and forks a child per other span. The counts array
+spans, one per CPU the process may use (``os.sched_getaffinity``) but no
+more than gives each span ``_FORK_EVENTS`` decisions, simulates the first
+span itself and forks a child per other span. The counts array
 lives in one anonymous shared mapping made before any fork, so a child draws
 only its own runs, writes their counts into its rows of that array and
 leaves by ``os._exit``, and nothing it inherited (atexit handlers, buffered
@@ -62,6 +69,12 @@ CI95_Z = 1.96  # normal approximation quantile for two-sided 95%
 # of 2 + 20 intervals took 14.7 ms of CPU in windows of 8,192 events and
 # 15.2 ms in one window; windows of 4,096 and 2,048 took 15.4 and 16.2 ms.
 _WINDOW_EVENTS = 8192
+# Decisions a forked worker must get to pay for its fork: forking, leaving
+# and reaping a child take about 2.6 ms, two busy processes run at 1.05-1.47x
+# the time of one on 2 CPUs, and a decision takes about 0.3 us. So the
+# 19,110 decisions of a 7x7-grid table stay in one process, while 30 runs of
+# 200 nodes (78,000) and of 2,000 nodes (1.38M) still fork.
+_FORK_EVENTS = 32768
 
 
 @dataclass(frozen=True)
@@ -91,24 +104,50 @@ class SimulationResult:
     params: TrickleParams
 
 
-def _simulate_block(neighbor_lists, ks_list, params: TrickleParams, runs: int, draw) -> list[list[list[int]]]:
+def _decider(neighbor_lists, ks_list, params: TrickleParams):
+    """``(decide, unpack)``: the decision loop over a window for every K list, and the counts per list.
+
+    One K list runs ``_decide``, which compares each counter with K itself
+    (the packed loop alone made a 2000-node ``simulate`` 13% slower end to
+    end). Two or more run ``_decide_lanes`` over one int per node that holds
+    a field of ``bits`` bits per list. 2**(bits - 1) exceeds every reception
+    counter (a node listens for less than one interval, and a neighbor's own
+    events are more than half an interval apart, so at most 2 x degree) and
+    every measured count. Key i holds 2**(bits - 1) - 1
+    + min(K, 2**(bits - 1)) in each field, so the field's top bit survives
+    subtracting the counter exactly when the counter is below K, and no
+    field borrows from the next.
+    """
+    if len(ks_list) == 1:
+        return partial(_decide, neighbor_lists, ks_list[0]), lambda counts: [counts]
+    bits = max(2 * max(map(len, neighbor_lists), default=0), params.measured_intervals).bit_length() + 1
+    top, mask = 1 << (bits - 1), (1 << bits) - 1
+    shifts = range(0, len(ks_list) * bits, bits)
+    keys = [sum(top - 1 + min(int(k), top) << shift for k, shift in zip(ks, shifts)) for ks in zip(*ks_list)]
+    high = sum(top << shift for shift in shifts)
+    return partial(_decide_lanes, neighbor_lists, keys, high, bits - 1), lambda counts: [[c >> shift & mask for c in counts] for shift in shifts]
+
+
+def _simulate_block(neighbor_lists, decider, params: TrickleParams, runs: int, draw) -> list[list[list[int]]]:
     """Transmission counts [run][K list][node] of ``runs`` runs drawn side by side.
 
-    ``draw(out)`` fills ``out``, shape (runs, n, count), with the next
-    ``count`` doubles of every node of every run: a node's first double is
-    its phase, the next one the offset of interval 0, and so on. Node i's
-    own event of interval m lies in [start + 0.5, next start), start =
-    phase + m, so the time window [a, a + w) holds only events of intervals
-    a - 1 ... a + w - 1: the runs advance through the windows together, each
-    window draws the columns it adds into one buffer, and each K list
-    carries its decision-loop state (``_decide``) from window to window.
+    ``decider`` is ``_decider(neighbor_lists, ks_list, params)``. ``draw(out)``
+    fills ``out``, shape (runs, n, count), with the next ``count`` doubles
+    of every node of every run: a node's first double is its phase, the
+    next one the offset of interval 0, and so on. Node i's own event of
+    interval m lies in [start + 0.5, next start), start = phase + m, so the
+    time window [a, a + w) holds only events of intervals a - 1 ... a + w - 1:
+    the runs advance through the windows together, each window draws the
+    columns it adds into one buffer, and each run carries its decision-loop
+    state from window to window.
     """
     n = len(neighbor_lists)
+    decide, unpack = decider
     first, last = params.warmup_intervals, params.warmup_intervals + params.measured_intervals
     width = max(1, _WINDOW_EVENTS // n)
     phases = np.empty((runs, n))
     draw(phases[:, :, None])
-    states = [[([0] * n, phase.tolist(), [0] * n) for _ in ks_list] for phase in phases]
+    states = [([0] * n, phase.tolist(), [0] * n) for phase in phases]
     end_times = [math.inf] * runs  # the time of each run's last measured decision, once drawn
     offsets = np.empty((runs, n, min(width, last + 1) + 1))  # a window's intervals lo ... hi - 1
     cols = 0
@@ -123,7 +162,7 @@ def _simulate_block(neighbor_lists, ks_list, params: TrickleParams, runs: int, d
             offsets[:, :, 0] = offsets[:, :, cols - 1]
         cols = hi - lo
         draw(offsets[:, :, a - lo : cols])
-        for r, (phase, run_states) in enumerate(zip(phases, states)):
+        for r, (phase, state) in enumerate(zip(phases, states)):
             if a > end_times[r]:
                 continue
             starts = phase[:, None] + np.arange(lo, hi + 1.0)
@@ -144,10 +183,8 @@ def _simulate_block(neighbor_lists, ks_list, params: TrickleParams, runs: int, d
             nodes, intervals = np.divmod(index, hi - lo)
             measured = ((intervals >= first - lo) & (intervals < last - lo)).tobytes()
             index += nodes + 1  # the flat index of starts[nodes, intervals + 1]
-            events = memoryview(times), memoryview(nodes), measured, memoryview(starts.ravel()[index])
-            for ks, state in zip(ks_list, run_states):
-                _decide(neighbor_lists, ks, state, events)
-    return [[counts for _, _, counts in run_states] for run_states in states]
+            decide(state, (memoryview(times), memoryview(nodes), measured, memoryview(starts.ravel()[index])))
+    return [unpack(counts) for _, _, counts in states]
 
 
 def _decide(neighbor_lists, ks, state, events) -> None:
@@ -172,14 +209,39 @@ def _decide(neighbor_lists, ks, state, events) -> None:
                 cnt[j] += 1
 
 
+def _decide_lanes(neighbor_lists, keys, high, shift, state, events) -> None:
+    """``_decide`` for every K list at once: cnt and counts hold one field per list (``_decider``).
+
+    ``high`` has the top bit of each field set. That bit of keys[i] - cnt[i]
+    is set exactly in the lists in which node i transmits; shifted down by
+    ``shift`` to the field's lowest bit, it is the 1 that each of those
+    lists adds to a count or a counter. start depends only on the schedule,
+    so all lists share it.
+    """
+    cnt, start, counts = state
+    for t, i, flag, nxt in zip(*events):
+        u = (keys[i] - cnt[i]) & high
+        cnt[i] = 0
+        start[i] = nxt
+        if not u:
+            continue
+        u >>= shift
+        if flag:
+            counts[i] += u
+        for j in neighbor_lists[i]:
+            if t >= start[j]:
+                cnt[j] += u
+
+
 def _simulate_span(neighbor_lists, ks_list, params: TrickleParams, counts: np.ndarray, runs: range) -> None:
     """Fill ``counts[a, r]`` with the counts of run r under K list a, for each r in ``runs``."""
     # Warmup intervals are discarded, but the start-up transient is longer
     # than the default of 2: on the 7x7 grid at K=1 the corner rate climbs
     # from 0.47 (interval 0) to 0.53 (interval 2) and settles near 0.57
     # only from interval 6, so short windows read low.
+    decider = _decider(neighbor_lists, ks_list, params)
     for block, draw in substreams(params.base_seed, runs, len(neighbor_lists)):
-        for r, run_counts in zip(block, _simulate_block(neighbor_lists, ks_list, params, len(block), draw)):
+        for r, run_counts in zip(block, _simulate_block(neighbor_lists, decider, params, len(block), draw)):
             for a, assignment_counts in enumerate(run_counts):
                 counts[a, r] = assignment_counts
 
@@ -188,22 +250,26 @@ def run_steady_states(topology, k_assignments, params: TrickleParams) -> list[Si
     """Simulate every K assignment over the same `runs` repetitions, one result each.
 
     Every assignment sees the same draws and event schedule, which each run
-    builds once; the counts equal separate ``run_steady_state`` calls. The
-    runs are split into contiguous spans, one per CPU this process may use;
-    the first span runs here and each other one in a forked child, which
-    writes its runs' counts straight into the shared counts array.
+    builds and decides once; the counts equal separate ``run_steady_state``
+    calls. The runs are split into contiguous spans, one per CPU this
+    process may use while each span gets ``_FORK_EVENTS`` decisions; the
+    first span runs here and each other one in a forked child, which writes
+    its runs' counts straight into the shared counts array.
     """
     for k_assignment in k_assignments:
         if len(k_assignment.k) != topology.n:
             raise ValueError("k_assignment length does not match topology")
+    if not k_assignments:
+        return []
     simulate = partial(_simulate_span, topology.neighbor_lists, [ka.k for ka in k_assignments], params)
     shape = (len(k_assignments), params.runs, topology.n)
     try:  # an anonymous mapping is shared: each child forked below writes its runs' rows in place
-        counts = np.ndarray(shape, np.int64, mmap.mmap(-1, max(8 * math.prod(shape), 1)))  # not 0 bytes
+        counts = np.ndarray(shape, np.int64, mmap.mmap(-1, 8 * math.prod(shape)))
     except (OSError, OverflowError) as exc:  # numpy reports an allocation too large as MemoryError
         raise MemoryError(f"cannot map int64 counts of shape {shape}") from exc
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    workers = min(cpus, params.runs)
+    decisions = params.runs * topology.n * (params.warmup_intervals + params.measured_intervals + 1)
+    workers = max(1, min(cpus, params.runs, decisions // _FORK_EVENTS))
     bounds = [params.runs * w // workers for w in range(workers + 1)]
     spans = [range(first, stop) for first, stop in zip(bounds, bounds[1:])]
     children = []  # (pid, span) of each forked child not yet reaped, in run order

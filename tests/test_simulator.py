@@ -20,7 +20,7 @@ from tricklefair import (
 from tricklefair import simulator
 from tricklefair._rng import _BLOCK, substreams
 from tricklefair.cli import _table_configs, bundled_random_topology
-from tricklefair.simulator import _simulate_block, run_steady_states, save_result, save_result_csv
+from tricklefair.simulator import _decider, _simulate_block, run_steady_states, save_result, save_result_csv
 
 from oracles import decision_loop, estimate_probabilities, single_run
 from strategies import small_networks
@@ -157,7 +157,7 @@ def windowed(neighbor_lists, ks_list, params, draws):
         assert taken <= draws.shape[2]  # a run never reads past its last interval
         out[...] = draws[:, :, taken - count : taken]
 
-    return _simulate_block(neighbor_lists, ks_list, params, len(draws), draw)
+    return _simulate_block(neighbor_lists, _decider(neighbor_lists, ks_list, params), params, len(draws), draw)
 
 
 def test_tied_event_times_break_by_node_then_interval():
@@ -249,6 +249,75 @@ def test_windows_match_the_whole_run_decision_loop(case, runs, rows, share, inte
             assert windowed(topo.neighbor_lists, ks_list, params, draws) == want, events
 
 
+@st.composite
+def lane_cases(draw):
+    """(topology, K lists, measured intervals): 2-12 lists whose K per node is 1, y, 2y, 2y + 1 or 2**70.
+
+    A node hears at most 2y receptions per interval, so 2y is the largest K
+    that can suppress and 2y + 1 the smallest that never does. A clique of
+    up to 20 nodes gives the counters their largest degrees (the star test
+    below drives a counter to 2y itself); a pair at up to 300 measured
+    intervals makes the count, not the counter, set the field's width.
+    """
+    kind = draw(st.sampled_from(["network", "clique", "pair"]))
+    if kind == "network":
+        topo, _ = draw(small_networks())
+        intervals = draw(st.integers(1, 6))
+    elif kind == "clique":
+        n = draw(st.integers(2, 20))
+        topo = Topology.from_edges(n, itertools.combinations(range(n), 2))
+        intervals = draw(st.integers(1, 4))
+    else:
+        topo = Topology.from_edges(2, [(0, 1)])
+        intervals = draw(st.integers(1, 300))
+    rules = [lambda y: 1, lambda y: y, lambda y: 2 * y, lambda y: 2 * y + 1, lambda y: 2**70]
+    lists, seed = draw(st.integers(2, 12)), draw(st.integers(0, 2**32 - 1))
+    picks = np.random.default_rng(seed).integers(len(rules), size=(lists, topo.n))
+    ks_list = [[max(1, rules[rule](len(nb))) for rule, nb in zip(row, topo.neighbor_lists)] for row in picks]
+    return topo, ks_list, intervals
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(lane_cases(), st.integers(1, 2), st.integers(0, 2), st.integers(0, 2**32 - 1))
+def test_packed_lanes_match_each_list_alone(case, runs, warmup, seed):
+    # Two or more K lists are decided in one pass, one bit field per list in
+    # each node's counter and count. Every list must read what the whole-run
+    # oracle reads for it alone, and what a one-list call reads, in windows
+    # of 1 event, 3n events and the default.
+    topo, ks_list, intervals = case
+    params = TrickleParams(measured_intervals=intervals, warmup_intervals=warmup, runs=runs)
+    draws = np.random.default_rng(seed).random((runs, topo.n, warmup + intervals + 2))
+    want = [
+        [decision_loop(topo.neighbor_lists, ks, params, d[:, 0], 0.5 + 0.5 * d[:, 1:]).tolist() for ks in ks_list]
+        for d in draws
+    ]
+    for events in (1, 3 * topo.n, simulator._WINDOW_EVENTS):
+        with mock.patch.object(simulator, "_WINDOW_EVENTS", events):
+            assert windowed(topo.neighbor_lists, ks_list, params, draws) == want, events
+    for a, ks in enumerate(ks_list):
+        assert windowed(topo.neighbor_lists, [ks], params, draws) == [[counts[a]] for counts in want]
+
+
+@pytest.mark.parametrize("leaves", [1, 2, 4, 8, 19])
+def test_packed_counter_reaches_twice_the_degree(leaves):
+    # The hub of a star listens through all of [m, m + 1); each leaf (phase
+    # 0.495) fires at m + 0.245 in interval m - 1 and at m + 0.995 in
+    # interval m for every odd m, so the hub's counter reaches 2 x degree,
+    # the largest value its field must hold. At K = 2 x degree the hub is
+    # then suppressed, and at 2 x degree + 1 it is not.
+    topo = Topology.from_edges(leaves + 1, [(0, leaf) for leaf in range(1, leaves + 1)])
+    params = TrickleParams(measured_intervals=6, warmup_intervals=1, runs=1)
+    total = params.warmup_intervals + params.measured_intervals + 1
+    draws = np.empty((topo.n, total + 1))
+    draws[0] = [0.0] + [_TOP_DRAW] * total
+    draws[1:] = [0.495] + [0.5, 0.0] * (total // 2) + [0.5] * (total % 2)
+    ks_list = [[k, *[2**70] * leaves] for k in (1, 2 * leaves, 2 * leaves + 1, 2**70)]
+    [got] = windowed(topo.neighbor_lists, ks_list, params, draws[None])
+    for ks, counts in zip(ks_list, got):
+        assert counts == decision_loop(topo.neighbor_lists, ks, params, draws[:, 0], 0.5 + 0.5 * draws[:, 1:]).tolist()
+    assert got[1][0] < got[2][0] == params.measured_intervals
+
+
 @settings(max_examples=50, deadline=None, derandomize=True, database=None)
 @given(
     small_networks(),
@@ -288,7 +357,9 @@ def assert_no_child_left():
 @pytest.mark.parametrize("runs", [1, 7, 30])
 def test_counts_are_identical_for_any_number_of_workers(runs, grid, monkeypatch):
     # one worker per CPU the process may use, capped at runs; tables 1 and 3
-    # of reproduce simulated in one call
+    # of reproduce simulated in one call, with every call forking however
+    # few decisions it makes
+    monkeypatch.setattr(simulator, "_FORK_EVENTS", 1)
     kas = [assign_k(grid, policy) for _, policy in _table_configs(1) + _table_configs(3)]
     params = TrickleParams(measured_intervals=4, warmup_intervals=2, runs=runs, base_seed=6)
     got = {}
@@ -309,6 +380,15 @@ def test_one_cpu_or_one_run_forks_nothing(grid, monkeypatch):
 
     monkeypatch.setattr(os, "fork", no_fork)
     ka = assign_k(grid, fixed_policy(1))
+    # 3 CPUs and 30 runs, but 30 x 49 x (2 + 10 + 1) = 19,110 decisions, too
+    # few to pay for a fork: one table of reproduce on the 7x7 grid
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+    params = TrickleParams(runs=30)
+    assert params.runs * grid.n * (params.warmup_intervals + params.measured_intervals + 1) < simulator._FORK_EVENTS
+    assert run_steady_state(grid, ka, params).counts.shape == (30, grid.n)
+    # every other call would fork for any number of decisions, so only the
+    # CPU count or the run count keeps it in one process
+    monkeypatch.setattr(simulator, "_FORK_EVENTS", 1)
     for cpus, runs in (({0}, 3), ({0, 1, 2}, 1)):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: cpus)
         assert run_steady_state(grid, ka, TrickleParams(runs=runs, measured_intervals=2)).counts.shape == (runs, grid.n)
@@ -317,10 +397,15 @@ def test_one_cpu_or_one_run_forks_nothing(grid, monkeypatch):
 
 
 def test_no_assignment_gives_no_result(grid, monkeypatch):
-    # an empty counts array still maps one byte: mmap refuses a 0-byte mapping
+    # nothing to decide, so nothing is drawn and nothing forks
+    def fail(*args):
+        raise AssertionError("simulated")
+
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.setattr(simulator, "_FORK_EVENTS", 1)
+    monkeypatch.setattr(os, "fork", fail)
+    monkeypatch.setattr(simulator, "substreams", fail)
     assert run_steady_states(grid, [], TrickleParams(runs=3, measured_intervals=2)) == []
-    assert_no_child_left()
 
 
 class SpanFailure(Exception):
@@ -336,6 +421,7 @@ def test_a_failed_span_raises_its_exception_and_leaves_no_child(failing_first, g
         return substreams(base_seed, runs, n)
 
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+    monkeypatch.setattr(simulator, "_FORK_EVENTS", 1)
     monkeypatch.setattr(simulator, "substreams", draw)
     with pytest.raises(SpanFailure):
         run_steady_states(grid, [assign_k(grid, fixed_policy(1))], TrickleParams(runs=6, measured_intervals=3))
@@ -373,11 +459,32 @@ def test_one_large_run_stays_within_a_few_mib():
     assert peak < 2 * 2**20, peak
 
 
+def child_peak_rss_kib(simulate) -> int:
+    """The peak RSS in KiB of a forked child that calls ``simulate()`` and leaves."""
+    pid = os.fork()
+    if pid == 0:
+        code = 1
+        try:
+            simulate()
+            code = 0
+        finally:
+            os._exit(code)
+    _, status, usage = os.wait4(pid, 0)
+    assert status == 0
+    return usage.ru_maxrss
+
+
 def test_memory_of_a_run_does_not_grow_with_its_intervals():
-    # 2M events: a whole-run schedule and its draws would peak near 96 MiB
+    # 2M events against 40,000, each run in a child forked from the same
+    # state: a whole-run schedule and its draws would add about 95 MiB at
+    # 1,000 intervals. tracemalloc would slow every event of the loop.
     topo = generate_random_udg(2000, 44.7, 1.22, 7)
-    peak = traced_peak_of_one_run(topo, assign_k(topo, fixed_policy(2)), TrickleParams(runs=1, measured_intervals=1000))
-    assert peak < 2 * 2**20, peak
+    ka = assign_k(topo, fixed_policy(2))
+    short, long = (
+        child_peak_rss_kib(lambda: run_steady_state(topo, ka, TrickleParams(runs=1, measured_intervals=intervals)))
+        for intervals in (20, 1000)
+    )
+    assert long - short < 4 * 1024, (short, long)
 
 
 def test_two_node_pair_mean_near_model_value(two_node):
