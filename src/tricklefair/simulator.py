@@ -18,8 +18,9 @@ run is drawn, scheduled and decided one time window at a time: the window
 [a, a + w) holds the events of intervals a - 1 ... a + w - 1 that fall in
 it, w = max(1, _WINDOW_EVENTS // n) intervals, and a run holds one window
 of draws and schedule whatever its number of intervals (the runs of one
-``_rng`` block, up to 1,024 rows of nodes, share one buffer of draws, so on
-a tiny topology that buffer reaches 1,024 x (w + 1) doubles). One unstable sort
+``_rng`` block, up to 1,024 rows of nodes, share one buffer of draws; where
+it would pass ``_WINDOW_DRAWS`` doubles, as with many runs of 32 nodes or
+fewer, w shrinks to fit). One unstable sort
 orders a window's events; only when two event times tie is the order
 refined, so that ties break by node id, then interval, and the windows'
 events in turn are the whole run's in order. A reception at t belongs to
@@ -69,6 +70,11 @@ CI95_Z = 1.96  # normal approximation quantile for two-sided 95%
 # of 2 + 20 intervals took 14.7 ms of CPU in windows of 8,192 events and
 # 15.2 ms in one window; windows of 4,096 and 2,048 took 15.4 and 16.2 ms.
 _WINDOW_EVENTS = 8192
+# Doubles in the draws buffer that the runs of one ``_rng`` block share
+# (2 MiB), which narrows the window on tiny topologies, where a block holds
+# up to 1,024 runs. A block of 49-node runs (980 rows x 168 columns) and
+# the blocks of larger networks fit whole windows in it.
+_WINDOW_DRAWS = 1 << 18
 # Decisions a forked worker must get to pay for its fork: forking, leaving
 # and reaping a child take about 2.6 ms, two busy processes run at 1.05-1.47x
 # the time of one on 2 CPUs, and a decision takes about 0.3 us. So the
@@ -138,13 +144,14 @@ def _simulate_block(neighbor_lists, decider, params: TrickleParams, runs: int, d
     interval m lies in [start + 0.5, next start), start = phase + m, so the
     time window [a, a + w) holds only events of intervals a - 1 ... a + w - 1:
     the runs advance through the windows together, each window draws the
-    columns it adds into one buffer, and each run carries its decision-loop
-    state from window to window.
+    columns it adds into one buffer of at most ``_WINDOW_DRAWS`` doubles
+    (w + 1 columns per node and run), and each run carries its
+    decision-loop state from window to window.
     """
     n = len(neighbor_lists)
     decide, unpack = decider
     first, last = params.warmup_intervals, params.warmup_intervals + params.measured_intervals
-    width = max(1, _WINDOW_EVENTS // n)
+    width = max(1, min(_WINDOW_EVENTS // n, _WINDOW_DRAWS // (runs * n) - 1))
     phases = np.empty((runs, n))
     draw(phases[:, :, None])
     states = [([0] * n, phase.tolist(), [0] * n) for phase in phases]

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._rng import uniform
 from .io import _is_finite_number, _is_int, read_records, write_records
 
 # The unit-disk test is inclusive with a tiny relative slack so that exact
@@ -176,8 +177,12 @@ def generate_grid(rows: int, cols: int, spacing: float = 1.0, radio_range: float
 def generate_random_udg(n: int, side: float, radio_range: float, seed: int) -> Topology:
     """Random unit-disk topology: n nodes placed i.i.d. uniformly in [0, side]^2.
 
-    Deterministic for a fixed seed, an integer >= 0. Use the reported mean
-    degree to tune side and radio_range toward a target density.
+    Deterministic for a fixed seed, an integer >= 0: the positions are
+    ``np.random.default_rng(seed).uniform(0.0, side, (n, 2))``, drawn bit
+    for bit by the package's own PCG64 (``_rng.uniform``) without importing
+    ``numpy.random``, so a numpy release that changed that method's stream
+    would not move them. Use the reported mean degree to tune side and
+    radio_range toward a target density.
     """
     if not _is_int(n) or n < 1:
         raise TopologyError("n must be a positive integer")
@@ -185,9 +190,7 @@ def generate_random_udg(n: int, side: float, radio_range: float, seed: int) -> T
         raise TopologyError("side must be positive and finite")
     if not _is_int(seed) or seed < 0:  # a usage error, as for TrickleParams.base_seed
         raise ValueError("seed must be an integer >= 0")
-    rng = np.random.default_rng(seed)
-    positions = rng.uniform(0.0, side, size=(n, 2))
-    return Topology.from_positions(positions, radio_range)
+    return Topology.from_positions(uniform(seed, side, (n, 2)), radio_range)
 
 
 def save_topology(topology: Topology, path) -> None:

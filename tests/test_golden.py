@@ -11,6 +11,7 @@ where the test runs.
 """
 import hashlib
 import math
+from importlib import resources
 
 from tricklefair import Topology, compare, export_surface, generate_grid, save_topology
 from tricklefair.cli import main
@@ -81,3 +82,12 @@ def test_edge_list_topology_bytes_are_pinned(tmp_path):
     topo = Topology.from_edges(7, [(0, 1), (2, 1), (2, 0), (3, 4), (4, 5), (5, 3), (2, 3), (1, 0)])
     save_topology(topo, tmp_path / "edges.json")
     assert _sha256(tmp_path / "edges.json") == EDGE_LIST_SHA256
+
+
+def test_bundled_random_topology_is_its_generator_output(tmp_path, monkeypatch):
+    # gate 7 and table 2 read this file; it is the output of one seeded gen random
+    monkeypatch.chdir(tmp_path)
+    argv = ["gen", "random", "--n", "49", "--side", "7", "--range", "1.22", "--seed", "85", "-o", "random49.json"]
+    assert main(argv) == 0
+    bundled = resources.files("tricklefair").joinpath("data/random49.json").read_bytes()
+    assert (tmp_path / "random49.json").read_bytes() == bundled

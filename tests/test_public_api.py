@@ -109,6 +109,32 @@ def test_runtime_imports_are_stdlib_numpy_or_the_package():
             assert not outside, f"{path.name}:{node.lineno} imports {outside}"
 
 
+def test_no_command_imports_numpy_random(tmp_path):
+    # _rng.py draws every random double, so no run pays numpy.random's
+    # import (about 2 MiB of resident memory)
+    code = """if True:
+        import contextlib, io, sys
+        import tricklefair, tricklefair.cli
+        loaded = ["numpy.random" in sys.modules]
+        commands = [
+            ["gen", "random", "--n=30", "--side=5", "--range=1.5", "--seed=3", "-o", "t.json"],
+            ["solve", "--topo=t.json", "--fixed-k=1", "-o", "s.json"],
+            ["simulate", "--topo=t.json", "--fixed-k=1", "--runs=2", "--intervals=3", "-o", "m.json"],
+            ["reproduce", "--table=2", "--out=rep", "--runs=2", "--intervals=2"],
+        ]
+        for argv in commands:
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert tricklefair.cli.main(argv) == 0, argv
+            loaded.append("numpy.random" in sys.modules)
+        print(loaded)
+    """
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["[False,"] + ["False,"] * 3 + ["False]"]
+
+
 def test_only_io_knows_the_per_node_layout():
     # every per-node file, a topology's nodes included, is written by io.write_records and read by io.read_records
     found = {

@@ -9,10 +9,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tricklefair import (
+    KAssignment,
     Topology,
     TrickleParams,
     assign_k,
     fixed_policy,
+    generate_grid,
     generate_random_udg,
     heuristic_policy,
     run_steady_state,
@@ -485,6 +487,93 @@ def test_memory_of_a_run_does_not_grow_with_its_intervals():
         for intervals in (20, 1000)
     )
     assert long - short < 4 * 1024, (short, long)
+
+
+class _Stop(Exception):
+    pass
+
+
+def test_many_runs_of_a_tiny_topology_share_a_bounded_buffer():
+    # 256 runs of 2 nodes are one substreams block. A window of 8,192 // 2
+    # intervals would give them a 16.8 MiB buffer of draws at 5,000
+    # intervals; _WINDOW_DRAWS narrows it. Every window reuses the buffer,
+    # so the run stops once its first window is decided, which keeps
+    # tracemalloc off the other 2.4M events (about 4 s traced).
+    topo = generate_grid(1, 2, 1.0, 1.5)
+    params = TrickleParams(runs=256, measured_intervals=5000)
+    [(block, draw)] = substreams(params.base_seed, range(params.runs), topo.n)
+    calls = 0
+
+    def one_window(out):
+        nonlocal calls
+        calls += 1
+        if calls > 2:  # the phases, then window 0
+            raise _Stop
+        draw(out)
+
+    tracemalloc.start()
+    try:
+        with pytest.raises(_Stop):
+            _simulate_block(topo.neighbor_lists, _decider(topo.neighbor_lists, [(1, 1)], params), params, len(block), one_window)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * 2**20, peak
+
+
+def _union(*parts):
+    """One topology of ``parts`` side by side: part b's node i is node i + (nodes of the parts before b)."""
+    edges, offset = [], 0
+    for part in parts:
+        edges += [(i + offset, j + offset) for i, j in part.edges]
+        offset += part.n
+    return Topology.from_edges(offset, edges)
+
+
+def _counts(topo, ks_list, params):
+    return [res.counts for res in run_steady_states(topo, [KAssignment(tuple(ks), {}) for ks in ks_list], params)]
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(
+    small_networks(),
+    small_networks(),
+    st.integers(1, 3),
+    st.integers(1, 3),
+    st.integers(1, 6),
+    st.integers(0, 3),
+    st.integers(0, 2**70),
+    st.data(),
+)
+def test_every_part_of_a_disjoint_union_counts_as_it_does_alone(first, second, lists, runs, intervals, warmup, seed, data):
+    # Node i draws from default_rng((seed, run, i)) whatever else the
+    # topology holds, and no event crosses between the parts; this property
+    # shares nothing with the reference simulators. A part beyond the first
+    # keeps its ids, so it is compared with the union whose other part has
+    # no edges.
+    (g, ka), (h, kb) = first, second
+    ks = st.lists(st.integers(1, 6), min_size=g.n + h.n, max_size=g.n + h.n)
+    ks_list = [ka.k + kb.k] + [tuple(data.draw(ks)) for _ in range(lists - 1)]
+    params = TrickleParams(measured_intervals=intervals, warmup_intervals=warmup, runs=runs, base_seed=seed)
+    union = _counts(_union(g, h), ks_list, params)
+    alone = _counts(g, [k[: g.n] for k in ks_list], params)
+    beside = _counts(_union(Topology.from_edges(g.n, []), h), ks_list, params)
+    for got, want, other in zip(union, alone, beside):
+        assert got[:, : g.n].tobytes() == want.tobytes()
+        assert got[:, g.n :].tobytes() == other[:, g.n :].tobytes()
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(small_networks(), st.integers(1, 3), st.integers(1, 3), st.integers(1, 6), st.integers(0, 3), st.integers(0, 2**70), st.data())
+def test_an_appended_isolated_node_changes_no_count_and_always_transmits(case, lists, runs, intervals, warmup, seed, data):
+    topo, ka = case
+    ks = st.lists(st.integers(1, 6), min_size=topo.n + 1, max_size=topo.n + 1)
+    ks_list = [ka.k + (1,)] + [tuple(data.draw(ks)) for _ in range(lists - 1)]
+    params = TrickleParams(measured_intervals=intervals, warmup_intervals=warmup, runs=runs, base_seed=seed)
+    grown = _counts(_union(topo, Topology.from_edges(1, [])), ks_list, params)
+    for got, want in zip(grown, _counts(topo, [k[:-1] for k in ks_list], params)):
+        assert got[:, :-1].tobytes() == want.tobytes()
+        assert np.all(got[:, -1] == intervals)
 
 
 def test_two_node_pair_mean_near_model_value(two_node):

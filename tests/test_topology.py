@@ -17,6 +17,7 @@ from tricklefair import (
     save_topology,
 )
 
+from tricklefair._rng import uniform
 from tricklefair.cli import main
 
 from oracles import unit_disk_neighbors
@@ -96,6 +97,24 @@ def test_random_udg_is_deterministic():
     c = generate_random_udg(30, 5.0, 1.3, seed=5)
     assert a == b
     assert a != c
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    st.sampled_from([0, 1, 2**32 - 1, 2**32, 2**64 - 1, 2**64, 2**70]) | st.integers(0, 2**70),
+    st.sampled_from([1, 2, 512, 513, 1024, 1025, 5000]) | st.integers(1, 5000),
+    st.sampled_from([5e-324, 1e-300, 44.7, 1e308]) | st.floats(min_value=5e-324, max_value=1e308),
+)
+def test_random_positions_equal_default_rng_uniform(seed, n, side):
+    # drawn in blocks of _rng._BLOCK states, in numpy's order 0.0 + side *
+    # random(): side * raw * 2**-53 would overflow at side = 1e308
+    want = np.random.default_rng(seed).uniform(0.0, side, (n, 2))
+    assert uniform(seed, side, (n, 2)).tobytes() == want.tobytes()
+
+
+def test_random_udg_places_nodes_by_default_rng_uniform():
+    t = generate_random_udg(300, 44.7, 1.22, 2**64 + 3)
+    assert t.positions.tobytes() == np.random.default_rng(2**64 + 3).uniform(0.0, 44.7, (300, 2)).tobytes()
 
 
 def test_random_udg_single_node():
