@@ -31,7 +31,9 @@ approximation.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -101,16 +103,17 @@ def _p_first(y: int, k: int) -> float:
     return sum((k - m) * math.comb(y + 1, m) for m in range(k)) / ((y + 1) << y)
 
 
+@lru_cache(maxsize=256)
 def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Ascending nodes and weights of the n-point Gauss-Legendre rule on [-1, 1].
+    """Ascending nodes and weights of the n-point Gauss-Legendre rule on [-1, 1], read-only.
 
     Newton's method on P_n, evaluated by the three-term recurrence, from the
     guesses cos(pi (i - 1/4) / (n + 1/2)); once a step moves no node by 1e-10
     the next would be below rounding, and the weights 2 / ((1 - x^2) P_n'(x)^2)
     are taken at that x. Symmetrized and scaled to sum to 2. numpy's leggauss
-    starts from eigenvalues instead, which imports numpy.polynomial and
-    initializes LAPACK (1.75 MiB of resident memory together), and its
-    weights integrate t^(2n-1) about 100 times less accurately at n = 500.
+    would load numpy.polynomial and LAPACK (1.75 MiB resident), and its
+    weights integrate t^(2n-1) 100 times less accurately at n = 500. Plans
+    share cached rules: 256 of 1,001 points hold 3.9 MiB.
     """
     x = np.cos(np.pi * (np.arange(n, 0, -1) - 0.25) / (n + 0.5))
     step = math.inf
@@ -126,7 +129,17 @@ def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
         step = float(np.max(np.abs(delta)))
     w = 2.0 / ((1.0 - x * x) * slope * slope)
     w = (w + w[::-1]) / 2
-    return (x - x[::-1]) / 2, w * (2.0 / w.sum())
+    nodes, weights = (x - x[::-1]) / 2, w * (2.0 / w.sum())
+    nodes.flags.writeable = weights.flags.writeable = False
+    return nodes, weights
+
+
+def _physical_memory() -> int | None:
+    """Bytes of physical memory, or None where os.sysconf cannot tell."""
+    try:
+        return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    except (AttributeError, ValueError, OSError):  # no sysconf, or no such name on this platform
+        return None
 
 
 class _SweepPlan:
@@ -142,30 +155,30 @@ class _SweepPlan:
     neighbor of the leading nodes, the ones with y > c, into their leading
     columns, so every node takes exactly its own y steps over K states.
 
-    - Gather: for every step of every batch, in order, the plan stores the
-      neighbor id of each column the step updates, so a sweep fills
-      x = p[neighbor] for all steps in one call, and each step scales its
-      slice of x by its columns' t, a view of its batch's times.
-    - Views: each batch owns its DP array w, whose row 0 stays zero below
-      the K states, and a buffer for the differences, and every step's
-      slices of them and of x are made here. A step is then four ufunc calls
-      with out=, x *= t and w[j] -= x * (w[j] - w[j - 1]), at every K.
+    - Gather: the neighbor id of each column of every step, in order, so a
+      batch fills x = p[neighbor] for its steps in one call; each step
+      scales its slice of x by its columns' t.
+    - Views: the batches share the DP array w, whose row 0 stays zero below
+      the K states, a difference buffer, x and the prefix, each sized for
+      the batch that needs the most; every step's slices are made here. A
+      step is four ufunc calls with out=, x *= t and
+      w[j] -= x * (w[j] - w[j - 1]), at every K.
     - Row trimming: before step c at most c neighbors transmitted, so step c
       updates only the first min(K, c + 2) states; the states it skips hold
       exact zeros.
     - Jacobian: the edges are the (node, c-th neighbor) pairs of the steps in
-      order, edge_rows and edge_cols. evaluate copies, before step c, the
-      min(K, c + 1) states that can be nonzero into the step's own region of
-      a prefix buffer that holds every batch, K = 1 included. jacobian runs
-      the same steps backward from -w t in place of 1: before backward step
-      c, w holds -w t times P(exactly j of the neighbors after c
-      transmitted), and the sum over m of prefix_c[m] * suffix[K - 1 - m] is
-      the column's term of dF_i/dp_j. Each step leaves its terms in its cells
-      of x, and one reduceat sums them by edge.
+      order, edge_rows and edge_cols. Before step c the forward DP copies the
+      min(K, c + 1) states that can be nonzero into the step's prefix rows.
+      The batch's backward pass runs the steps in reverse from -w t in place
+      of 1, so that before backward step c, w holds -w t times P(exactly j
+      of the neighbors after c transmitted), and the sum over m of
+      prefix_c[m] * suffix[K - 1 - m] is the column's term of dF_i/dp_j.
+      The terms land in x; one reduceat sums them into the batch's jac.
 
-    The plan holds 16 bytes per (step, column) pair: the neighbor id and
-    x; the prefix adds 8 x min(K, c + 1) bytes per pair of every batch.
-    Its buffers make evaluate and jacobian non-reentrant.
+    The plan holds 8 bytes per (step, column) pair, the neighbor id, and
+    for its largest batch 8 + 8 x min(K, c + 1) bytes per pair, x and the
+    prefix. It counts them before allocating and raises MemoryError past
+    physical memory. Its buffers make evaluate non-reentrant.
     """
 
     def __init__(self, topology, k_assignment) -> None:
@@ -176,12 +189,9 @@ class _SweepPlan:
         ks = np.array([min(k, y + 1) for y, k in zip(degrees.tolist(), k_assignment.k)], dtype=np.intp)
         self.p_f = np.array([_p_first(y, k) for y, k in zip(degrees.tolist(), ks.tolist())])
         self.forced = degrees < ks
-        free = degrees[~self.forced]
-        cells = int(np.sum(free * (free // 2 + 1)))  # (step, column) pairs: y steps of y // 2 + 1 columns
-        self.x = np.empty(cells)  # P(fired earlier and transmitted | t)
         layouts = []
-        dp_size = 0  # largest over the batches
-        prefix_size = 0  # min(K, c + 1) rows of the columns of every step c, summed over the batches
+        cells = 0  # (step, column) pairs of every batch: y steps of y // 2 + 1 columns per node
+        x_size = dp_size = prefix_size = 0  # largest over the batches
         for k in sorted(set(ks[~self.forced].tolist())):
             nodes = np.flatnonzero((ks == k) & ~self.forced)
             nodes = nodes[np.argsort(-degrees[nodes], kind="stable")]  # ties stay by id
@@ -189,56 +199,72 @@ class _SweepPlan:
             starts = np.cumsum([0, *(ys // 2 + 1)])
             active = np.count_nonzero(ys[:, None] > np.arange(ys[0]), axis=0)  # nodes that take step c
             layouts.append((k, nodes, starts, active))
+            pairs = int(starts[active].sum())
+            cells += pairs
+            x_size = max(x_size, pairs)
             dp_size = max(dp_size, (k + 1) * int(starts[-1]))
-            prefix_size += int(np.minimum(k, np.arange(1, len(active) + 1)) @ starts[active])
-        # one DP array and difference buffer, shared by the batches; a prefix region per step of every batch
-        dp, diffs, prefix = np.empty(dp_size), np.empty(dp_size), np.empty(prefix_size)
+            # min(K, c + 1) rows of the columns of every step c
+            prefix_size = max(prefix_size, int(np.minimum(k, np.arange(1, len(active) + 1)) @ starts[active]))
+        needed = 8 * (cells + x_size + 2 * dp_size + prefix_size)
+        limit = _physical_memory()
+        if limit is not None and needed > limit:
+            raise MemoryError(f"the sweep plan needs {needed} bytes, more than the {limit} bytes of physical memory")
         self.gather = np.empty(cells, dtype=np.intp)
-        edge_rows, edge_starts = [np.empty(0, dtype=np.intp)], [np.empty(0, dtype=np.intp)]
+        self.x = np.empty(x_size)  # P(fired earlier and transmitted | t), one batch at a time
+        self.prefix = np.empty(prefix_size)
+        dp, diffs = np.empty(dp_size), np.empty(dp_size)
+        self.jac = np.empty(int(degrees[~self.forced].sum()))
+        edge_rows, edge_cols = [np.empty(0, dtype=np.intp)], [np.empty(0, dtype=np.intp)]
         self.batches = []
-        offset = used = 0  # of x and of the prefix buffer
-        rules: dict[int, tuple[np.ndarray, np.ndarray]] = {}  # Gauss-Legendre rules by size
+        offset = edges = 0  # of the gather and of jac
         for k, nodes, starts, active in layouts:
             sizes = np.diff(starts)
-            rules.update((s, _gauss_legendre(s)) for s in set(sizes.tolist()) - rules.keys())
-            times = 0.75 + 0.25 * np.concatenate([rules[s][0] for s in sizes])  # [-1, 1] onto [1/2, 1]
-            weights = 0.5 * np.concatenate([rules[s][1] for s in sizes])
+            rules = [_gauss_legendre(s) for s in sizes.tolist()]
+            times = 0.75 + 0.25 * np.concatenate([t for t, _ in rules])  # [-1, 1] onto [1/2, 1]
+            weights = 0.5 * np.concatenate([w for _, w in rules])
             # w[1 + j, col]: P(exactly j of its node's first c neighbors
             # transmitted earlier) at the column's t, for j < K
             w = dp[: (k + 1) * len(times)].reshape(k + 1, len(times))
             diff = diffs[: k * len(times)].reshape(k, len(times))
-            forward, backward = [], []
+            forward, backward, edge_starts = [], [], []
+            cell = used = 0  # of x and of the prefix, from 0 in every batch
             for c, a in enumerate(active.tolist()):
                 b = int(starts[a])
                 neighbors = [lists[i][c] for i in nodes[:a].tolist()]
-                self.gather[offset : offset + b] = np.repeat(neighbors, sizes[:a])
+                self.gather[offset + cell : offset + cell + b] = np.repeat(neighbors, sizes[:a])
                 edge_rows.append(nodes[:a])
-                edge_starts.append(offset + starts[:a])
+                edge_cols.append(neighbors)
+                edge_starts.append(cell + starts[:a])
                 # the suffix after backward step c spans at most y - c neighbors
                 # of the batch's largest degree y, which is its step count
                 r, rp, rs = min(k, c + 2), min(k, c + 1), min(k, len(active) - c + 1)
-                pref = prefix[used : used + rp * b].reshape(rp, b)
-                x = self.x[offset : offset + b]
+                pref = self.prefix[used : used + rp * b].reshape(rp, b)
+                x = self.x[cell : cell + b]
                 forward.append((times[:b], w[1 : rp + 1, :b], pref, w[1 : r + 1, :b], w[:r, :b], diff[:r, :b], x))
                 backward.append((pref, w[k + 1 - rp :, :b][::-1], w[1 : rs + 1, :b], w[:rs, :b], diff[:rs, :b], x))
-                offset += b
+                cell += b
                 used += rp * b
-            self.batches.append((nodes, w, weights, -weights * times, starts, forward, backward[::-1]))
+            edge_starts = np.concatenate(edge_starts)  # first cell of every edge in x
+            gather, xs = self.gather[offset : offset + cell], self.x[:cell]
+            jac = self.jac[edges : edges + len(edge_starts)]
+            self.batches.append(
+                (nodes, gather, xs, w, weights, -weights * times, starts, forward, backward[::-1], edge_starts, jac)
+            )
+            offset += cell
+            edges += len(edge_starts)
         self.edge_rows = np.concatenate(edge_rows)
-        self.edge_starts = np.concatenate(edge_starts)  # first cell of every edge
-        self.edge_cols = self.gather[self.edge_starts]
-        self.jac = np.empty(len(self.edge_rows))
+        self.edge_cols = np.concatenate(edge_cols)
 
     def evaluate(self, p: np.ndarray) -> np.ndarray:
         """F(p) of every node against the iterate p; 1 where y < K.
 
-        Leaves x = p[gather] * t and every step's prefix behind, the state
-        that jacobian reads.
+        Runs each batch's forward DP and then its backward pass, so it also
+        leaves the edge Jacobian at p in jac, which jacobian returns.
         """
         out = np.ones(len(p))
-        np.take(p, self.gather, out=self.x, mode="clip")
         multiply, subtract, copyto = np.multiply, np.subtract, np.copyto
-        for nodes, w, weights, _, starts, forward, _ in self.batches:
+        for nodes, gather, xs, w, weights, neg_wt, starts, forward, backward, edge_starts, jac in self.batches:
+            np.take(p, gather, out=xs, mode="clip")
             w.fill(0.0)
             w[1] = 1.0
             for t, w_p, pref, w_r, w_below, diff, x in forward:
@@ -248,18 +274,6 @@ class _SweepPlan:
                 multiply(diff, x, out=diff)
                 subtract(w_r, diff, out=w_r)
             out[nodes] = np.add.reduceat(weights * w.sum(axis=0), starts[:-1])
-        return out
-
-    def jacobian(self) -> np.ndarray:
-        """dF_i/dp_j at the iterate of the last evaluate, for every edge (edge_rows[e], edge_cols[e]).
-
-        Runs only the backward DP, from the prefix and x that evaluate left,
-        and overwrites x with the per-cell terms, so every call needs an
-        evaluate before it. Returns the plan's own buffer, which the next
-        call overwrites.
-        """
-        multiply, subtract = np.multiply, np.subtract
-        for _, w, _, neg_wt, _, _, backward in self.batches:
             w.fill(0.0)
             w[1] = neg_wt
             for pref, suffix, w_r, w_below, diff, x in backward:
@@ -268,7 +282,15 @@ class _SweepPlan:
                 multiply(diff, x, out=diff)
                 subtract(w_r, diff, out=w_r)
                 np.add.reduce(pref, axis=0, out=x)
-        return np.add.reduceat(self.x, self.edge_starts, out=self.jac)
+            np.add.reduceat(xs, edge_starts, out=jac)
+        return out
+
+    def jacobian(self) -> np.ndarray:
+        """dF_i/dp_j at the iterate of the last evaluate, for every edge (edge_rows[e], edge_cols[e]).
+
+        Returns the plan's own buffer, which the next evaluate overwrites.
+        """
+        return self.jac
 
 
 def update_map(topology, k_assignment, current_p, *, plan: _SweepPlan | None = None) -> np.ndarray:
@@ -277,10 +299,10 @@ def update_map(topology, k_assignment, current_p, *, plan: _SweepPlan | None = N
     Nodes with fewer neighbors than their redundancy constant map to exactly
     1; all others map to the integral F evaluated against current_p. Output
     is clipped to [0, 1] against rounding. plan holds this topology's gather
-    indices, DP buffers, prefix and their per-step views, built once;
+    indices, DP buffers and their per-step views, built once;
     solve_fixed_point passes the one it built and calls this function once
-    per evaluation of F, and the plan is built here when omitted. The plan
-    keeps the forward state of this evaluation for its jacobian.
+    per evaluation of F, and the plan is built here when omitted. The plan's
+    jacobian() then holds the edge Jacobian at current_p.
     """
     p = np.asarray(current_p, dtype=float)
     if p.shape != (topology.n,):

@@ -603,6 +603,17 @@ def test_request_too_large_for_memory_is_exit_2(tmp_path, grid_file, monkeypatch
             os.waitpid(-1, os.WNOHANG)
 
 
+def test_solve_whose_plan_exceeds_memory_is_exit_2(tmp_path, grid_file, monkeypatch):
+    # the plan counts its bytes before allocating them; the limit is patched
+    # so that the test never commits the memory it checks for
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(model, "_physical_memory", lambda: 1024)
+    code, err = _run_main(["solve", f"--topo={grid_file}", "--fixed-k=1", "--output=s.json"])
+    assert code == 2
+    assert err.startswith("error: out of memory: the sweep plan needs ") and err.count("\n") == 1
+    assert not (tmp_path / "s.json").exists()
+
+
 def test_reproduce_io_error_is_exit_4_and_marks_the_manifest_failed(tmp_path):
     out = tmp_path / "t1"
     (out / "model_k1.json").mkdir(parents=True)  # the solution file cannot be opened for writing

@@ -247,6 +247,16 @@ class TestPLastOpportunity:
             p_last_opportunity(1, 2, [0.5])  # y < k
 
 
+def test_gauss_legendre_rules_are_cached_read_only_and_bit_identical():
+    for n in (1, 2, 7, 16, 101):
+        cached = model._gauss_legendre(n)
+        assert model._gauss_legendre(n) is cached
+        for built, fresh in zip(cached, model._gauss_legendre.__wrapped__(n)):
+            assert built.tobytes() == fresh.tobytes()
+            with pytest.raises(ValueError, match="read-only"):
+                built[0] = 0.0
+
+
 class TestUpdateMap:
     def test_isolated_node_is_certain(self):
         t = Topology.from_edges(1, [])
@@ -547,9 +557,9 @@ class TestNewton:
         # are exact up to rounding; the cases must cover isolated nodes, forced
         # nodes that are some free node's neighbor, K = 1, whose one prefix
         # row meets one suffix row, K > 2, whose first steps trim rows and
-        # keep fewer than K prefix rows, and two free K batches, whose
-        # prefixes must both survive evaluate. jacobian reads the last
-        # evaluate, so F runs at another iterate first.
+        # keep fewer than K prefix rows, and two free K batches, which
+        # evaluate runs one after the other through the same buffers. jacobian
+        # reads the last evaluate, so F runs at another iterate first.
         h = 1e-6
         seen = set()
 
@@ -610,6 +620,51 @@ class TestNewton:
         finally:
             tracemalloc.stop()
         assert peak < 14 * 2**20, peak
+
+    def test_heuristic_solve_keeps_one_batch_of_dp_state(self, grid):
+        # evaluate runs each K batch's backward pass right after its forward
+        # DP, so x and the prefix serve one batch at a time: this 10-batch
+        # solve peaks at about 2.2 MiB, and 4.1 MiB with every batch's prefix
+        topo = named_topology("udg200", grid)
+        ka = assign_k(topo, heuristic_policy(3, 0))
+        tracemalloc.start()
+        try:
+            solve_fixed_point(topo, ka)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * 2**20, peak
+
+    def test_plan_buffers_hold_the_largest_batch(self, grid):
+        topo = named_topology("udg200", grid)
+        ka = assign_k(topo, heuristic_policy(3, 0))
+        cells, prefix = {}, {}  # by K, over the free nodes
+        for y, k in zip(topo.degrees.tolist(), ka.k):
+            if y >= k:
+                cells[k] = cells.get(k, 0) + y * (y // 2 + 1)
+                prefix[k] = prefix.get(k, 0) + (y // 2 + 1) * sum(min(k, c + 1) for c in range(y))
+        assert len(cells) >= 3
+        plan = _SweepPlan(topo, ka)
+        assert plan.gather.size == sum(cells.values())
+        assert plan.x.size == max(cells.values()) and plan.prefix.size == max(prefix.values())
+
+    def test_plan_larger_than_memory_raises_before_allocating(self, monkeypatch):
+        # the 100-clique at K = 1: 495,000 (step, column) pairs, each with
+        # its neighbor id, x and one prefix row, and 2 x 2 x 5,000 DP cells
+        clique = complete_graph(100)
+        ka = assign_k(clique, fixed_policy(1))
+        needed = 8 * (3 * 495_000 + 2 * 2 * 5_000)
+        monkeypatch.setattr(model, "_physical_memory", lambda: needed)
+        assert _SweepPlan(clique, ka).prefix.size == 495_000
+        monkeypatch.setattr(model, "_physical_memory", lambda: needed - 1)
+        tracemalloc.start()
+        try:
+            with pytest.raises(MemoryError, match=f"needs {needed} bytes"):
+                _SweepPlan(clique, ka)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < needed / 10, peak
 
     @pytest.mark.parametrize(
         "topology, ks",
