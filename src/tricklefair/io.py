@@ -18,8 +18,9 @@ and topologies ("nodes") alike. Its writers take columns, a dict from
 field name to a sequence of one value per node: write_records writes
 record i as {"id": i} plus row i of every column into a JSON list, and
 write_records_csv writes the same rows under the header id and the column
-names. read_records decodes a JSON file once and returns the object and
-its records, checked and sorted by id.
+names. A column may be a numpy array; both writers turn its rows into
+lists one batch of _BATCH nodes at a time. read_records decodes a JSON
+file once and returns the object and its records, checked and sorted by id.
 """
 from __future__ import annotations
 
@@ -80,9 +81,16 @@ def _rows(records: Records, nl):
     field = inner + "  "
     template = "{" + field + ("," + field).join(_encode_str(k).replace("%", "%%") + ": %s" for k in keys) + inner + "}"
     for i in range(0, n, _BATCH):
-        columns = [_texts(records[k][i:i + _BATCH], field) for k in keys]
-        yield ("[" + inner if i == 0 else sep) + sep.join(map(template.__mod__, zip(*columns)))
+        # the lead is a piece of its own and no name holds the column texts, so a batch's text is not copied or kept
+        yield "[" + inner if i == 0 else sep
+        yield sep.join(map(template.__mod__, zip(*[_texts(_batch(records[k], i), field) for k in keys])))
     yield nl + "]" if n else "[]"
+
+
+def _batch(column, i):
+    """Items i ... i + _BATCH - 1 of column; rows of a numpy array become lists here, one batch at a time."""
+    values = column[i:i + _BATCH]
+    return values.tolist() if hasattr(values, "tolist") else values
 
 
 def _texts(values, nl) -> list[str]:
@@ -108,7 +116,9 @@ def write_records(path, columns: dict, key="per_node", **fields) -> None:
 
 def write_records_csv(path, columns: dict) -> None:
     """Write one row id, columns[name][i], ... per node under the header id and the column names."""
-    write_csv(path, ["id", *columns], zip(itertools.count(), *columns.values()))
+    n = len(next(iter(columns.values()), ()))
+    batches = (zip(range(i, n), *(_batch(column, i) for column in columns.values())) for i in range(0, n, _BATCH))
+    write_csv(path, ["id", *columns], itertools.chain.from_iterable(batches))
 
 
 def _is_int(value) -> bool:

@@ -42,14 +42,17 @@ compares its counter with K itself.
 Runs are independent: ``run_steady_states`` splits them into contiguous
 spans, one per CPU the process may use (``os.sched_getaffinity``) but no
 more than gives each span ``_FORK_EVENTS`` decisions, simulates the first
-span itself and forks a child per other span. The counts array
+span itself and forks a child per other span. The counts array, the only
+array that grows with the runs, holds each count in the smallest signed
+integer type that holds ``measured_intervals`` (one byte up to 127) and
 lives in one anonymous shared mapping made before any fork, so a child draws
 only its own runs, writes their counts into its rows of that array and
 leaves by ``os._exit``, and nothing it inherited (atexit handlers, buffered
 output) runs twice; the array holds the same bytes as one process. A failed
 child's span runs again in the parent, so the span's own exception reaches
 the caller, and no child outlives the call. The parent's peak RSS does not
-include the children's memory.
+include the children's memory. The estimates, and the rows of a result
+file, are built one block of ``io._BATCH`` nodes at a time.
 """
 from __future__ import annotations
 
@@ -63,7 +66,8 @@ from functools import partial
 import numpy as np
 
 from ._rng import substreams
-from .io import _is_int, write_records, write_records_csv
+from .io import _BATCH, _is_int, write_records, write_records_csv
+from .model import _physical_memory
 
 CI95_Z = 1.96  # normal approximation quantile for two-sided 95%
 # Events per time window of a run: about 0.5 MiB of schedule. A 2000-node run
@@ -104,7 +108,7 @@ class TrickleParams:
 class SimulationResult:
     """Per-run transmission counts inside the measured window plus estimates."""
 
-    counts: np.ndarray  # shape (runs, N), integer
+    counts: np.ndarray  # shape (runs, N): int8 up to 127 measured intervals, int16 up to 32,767, then int32, int64
     mean_p: np.ndarray
     ci95: np.ndarray | None  # half-widths; None when runs < 2
     params: TrickleParams
@@ -270,10 +274,16 @@ def run_steady_states(topology, k_assignments, params: TrickleParams) -> list[Si
         return []
     simulate = partial(_simulate_span, topology.neighbor_lists, [ka.k for ka in k_assignments], params)
     shape = (len(k_assignments), params.runs, topology.n)
+    # the smallest signed type that holds every count, so that counts subtract without wrapping
+    dtype = np.dtype(next((t for t in (np.int8, np.int16, np.int32) if params.measured_intervals <= np.iinfo(t).max), np.int64))
+    size = dtype.itemsize * math.prod(shape)
+    limit = _physical_memory()  # at one byte a count, a mapping past memory may still fit the address space
+    if limit is not None and size > limit:
+        raise MemoryError(f"{dtype} counts of shape {shape} need {size} bytes, more than the {limit} bytes of physical memory")
     try:  # an anonymous mapping is shared: each child forked below writes its runs' rows in place
-        counts = np.ndarray(shape, np.int64, mmap.mmap(-1, 8 * math.prod(shape)))
+        counts = np.ndarray(shape, dtype, mmap.mmap(-1, size))
     except (OSError, OverflowError) as exc:  # numpy reports an allocation too large as MemoryError
-        raise MemoryError(f"cannot map int64 counts of shape {shape}") from exc
+        raise MemoryError(f"cannot map {dtype} counts of shape {shape}") from exc
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
     decisions = params.runs * topology.n * (params.warmup_intervals + params.measured_intervals + 1)
     workers = max(1, min(cpus, params.runs, decisions // _FORK_EVENTS))
@@ -320,17 +330,33 @@ def run_steady_state(topology, k_assignment, params: TrickleParams) -> Simulatio
 
 
 def _estimate(counts: np.ndarray, params: TrickleParams):
-    freqs = counts / float(params.measured_intervals)
-    mean_p = freqs.mean(axis=0)
-    if params.runs < 2:
-        return mean_p, None
-    half = CI95_Z * freqs.std(axis=0, ddof=1) / math.sqrt(params.runs)
+    """Per-node mean frequency over the runs and its 95% CI half-width (None for one run), _BATCH nodes at a time.
+
+    Each block holds the float frequencies of only its own nodes, with the
+    float operations of the whole-array formulas in their order, so the bits
+    are theirs. numpy sums one column pairwise but the columns of a wider
+    array row by row, so the last block ends at node N and is as wide as the
+    others, and no block is one column wide unless N is 1.
+    """
+    n = counts.shape[1]
+    mean_p = np.empty(n)
+    half = np.empty(n) if params.runs >= 2 else None
+    for a in range(0, n, _BATCH):
+        block = slice(max(min(a, n - _BATCH), 0), a + _BATCH)
+        freqs = counts[:, block] / float(params.measured_intervals)
+        mean_p[block] = freqs.mean(axis=0)
+        if half is not None:
+            half[block] = CI95_Z * freqs.std(axis=0, ddof=1) / math.sqrt(params.runs)
     return mean_p, half
 
 
 def save_result(path, result: SimulationResult, extra: dict | None = None) -> None:
-    """Write a simulation result as JSON: echoed parameters plus per-node records."""
-    columns = {**_estimate_columns(result), "counts_per_run": result.counts.T.tolist()}
+    """Write a simulation result as JSON: echoed parameters plus per-node records.
+
+    Each node's counts_per_run is its column of the counts array, which io
+    converts to lists one batch of nodes at a time.
+    """
+    columns = {**_estimate_columns(result), "counts_per_run": result.counts.T}
     write_records(path, columns, params=asdict(result.params), **(extra or {}))
 
 
@@ -341,4 +367,4 @@ def save_result_csv(path, result: SimulationResult) -> None:
 def _estimate_columns(result: SimulationResult) -> dict:
     """mean_p and ci95 per node; a single run has no ci95, written as null or an empty cell."""
     n = result.counts.shape[1]
-    return {"mean_p": result.mean_p.tolist(), "ci95": [None] * n if result.ci95 is None else result.ci95.tolist()}
+    return {"mean_p": result.mean_p, "ci95": [None] * n if result.ci95 is None else result.ci95}

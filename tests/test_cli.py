@@ -572,8 +572,10 @@ def test_cli_fuzz_reproduce_arguments(table, seed, runs, intervals):
     assert err == "" if valid else err.startswith("error: ")
 
 
-# Each request is petabytes or more, past the 128 TiB user address space, so
-# it fails at allocation whatever the overcommit setting and commits nothing.
+# Each request is tens of terabytes or more: a counts mapping is checked
+# against physical memory before it is made (at one byte a count, 10**12 runs
+# of the grid take 49 TB), and every other request is past the 128 TiB user
+# address space, so it fails whatever the overcommit setting and commits nothing.
 # A huge --intervals is not among them: a run holds one time window at a time,
 # so it would simulate every interval.
 @pytest.mark.parametrize(

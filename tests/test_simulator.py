@@ -2,6 +2,7 @@ import itertools
 import json
 import os
 import tracemalloc
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -22,6 +23,7 @@ from tricklefair import (
 from tricklefair import simulator
 from tricklefair._rng import _BLOCK, substreams
 from tricklefair.cli import _table_configs, bundled_random_topology
+from tricklefair.io import _BATCH
 from tricklefair.simulator import _decider, _simulate_block, run_steady_states, save_result, save_result_csv
 
 from oracles import decision_loop, estimate_probabilities, single_run
@@ -442,10 +444,10 @@ def test_large_network_matches_reference_simulator():
         assert np.array_equal(res.counts, [single_run(topo, ka.k, params, r) for r in range(2)])
 
 
-def traced_peak_of_one_run(topo, ka, params):
+def traced_peak(call) -> int:
     tracemalloc.start()
     try:
-        run_steady_state(topo, ka, params)
+        call()
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -457,7 +459,8 @@ def test_one_large_run_stays_within_a_few_mib():
     # schedule: about 1.2 MiB at 2000 nodes, where lists of a whole run's
     # events would take the peak past 7 MiB.
     topo = generate_random_udg(2000, 44.7, 1.22, 7)
-    peak = traced_peak_of_one_run(topo, assign_k(topo, fixed_policy(2)), TrickleParams(runs=1, measured_intervals=20))
+    ka = assign_k(topo, fixed_policy(2))
+    peak = traced_peak(lambda: run_steady_state(topo, ka, TrickleParams(runs=1, measured_intervals=20)))
     assert peak < 2 * 2**20, peak
 
 
@@ -487,6 +490,82 @@ def test_memory_of_a_run_does_not_grow_with_its_intervals():
         for intervals in (20, 1000)
     )
     assert long - short < 4 * 1024, (short, long)
+
+
+def test_memory_of_many_runs_grows_by_a_byte_per_count():
+    # 48 runs of one interval against 2, each in a child forked from the
+    # same state. The estimates are built one block of _BATCH nodes at a
+    # time, so the network is 16 blocks wide; isolated nodes keep the 0.3M
+    # decisions cheap. int64 counts and whole-array float temporaries grew
+    # the child by about 4.9 MiB.
+    topo = Topology.from_edges(16 * _BATCH, [])
+    ka = assign_k(topo, fixed_policy(1))
+    few, many = (
+        child_peak_rss_kib(lambda: run_steady_state(topo, ka, TrickleParams(runs=runs, measured_intervals=1, warmup_intervals=0)))
+        for runs in (2, 48)
+    )
+    counts = 48 * topo.n  # one byte each
+    blocks = 3 * 8 * 48 * _BATCH  # one block's frequencies and the two temporaries of its std
+    assert (many - few) * 1024 < counts + blocks + 2**20, (few, many)
+
+
+def many_run_result(runs, n) -> simulator.SimulationResult:
+    params = TrickleParams(measured_intervals=20, runs=runs)
+    counts = np.random.default_rng(0).integers(0, params.measured_intervals + 1, size=(runs, n), dtype=np.int8)
+    mean_p, ci95 = simulator._estimate(counts, params)
+    return simulator.SimulationResult(counts=counts, mean_p=mean_p, ci95=ci95, params=params)
+
+
+def test_estimates_hold_one_block_of_floats():
+    # 100 runs x 2,048 nodes: whole-array frequencies and std temporaries
+    # peaked at 3.2 MiB traced, over five times this bound
+    result = many_run_result(100, 8 * _BATCH)
+    peak = traced_peak(lambda: simulator._estimate(result.counts, result.params))
+    assert peak < 3 * 8 * 100 * _BATCH + 2 * 8 * result.counts.shape[1], peak
+
+
+def test_saving_many_runs_holds_one_block_of_rows(tmp_path):
+    # 8 runs x 4,096 nodes: the whole counts.T.tolist() took the traced peak
+    # to 0.96 MiB, over four times this bound; rendering one block of
+    # nodes sets the bound
+    save = simulator.save_result
+    save(tmp_path / "warm.json", many_run_result(8, _BATCH))  # first-call allocations
+    one_block = traced_peak(lambda: save(tmp_path / "one.json", many_run_result(8, _BATCH)))
+    result = many_run_result(8, 16 * _BATCH)
+    peak = traced_peak(lambda: save(tmp_path / "sim.json", result))
+    assert peak < 1.1 * one_block, (peak, one_block)
+
+
+@pytest.mark.parametrize("intervals, dtype", [(127, np.int8), (128, np.int16)])
+def test_counts_are_the_smallest_signed_type_that_holds_them(two_node, intervals, dtype):
+    # K = 3 is never suppressed on a node of one neighbor, so it counts
+    # every measured interval; at K = 1 the first node of a pair to fire
+    # can suppress the other in most of them
+    params = TrickleParams(measured_intervals=intervals, warmup_intervals=0, runs=2)
+    kas = [assign_k(two_node, fixed_policy(k)) for k in (1, 3)]
+    low, high = run_steady_states(two_node, kas, params)
+    for ka, res in zip(kas, (low, high)):
+        assert res.counts.dtype == dtype
+        assert np.array_equal(res.counts, [single_run(two_node, ka.k, params, r) for r in range(2)])
+    assert np.all(high.counts == intervals)
+    diff = low.counts - high.counts  # an unsigned type would wrap below zero
+    assert diff.dtype == dtype
+    assert np.array_equal(diff, low.counts.astype(np.int64) - intervals) and diff.min() < -intervals // 2
+
+
+def test_counts_larger_than_memory_raise_before_mapping(grid, monkeypatch):
+    # 3 runs of the 49-node grid: 147 one-byte counts
+    def no_map(*args):
+        raise AssertionError("mapped")
+
+    ka = assign_k(grid, fixed_policy(1))
+    params = TrickleParams(runs=3, measured_intervals=2)
+    monkeypatch.setattr(simulator, "_physical_memory", lambda: 3 * grid.n)
+    assert run_steady_state(grid, ka, params).counts.nbytes == 3 * grid.n
+    monkeypatch.setattr(simulator, "_physical_memory", lambda: 3 * grid.n - 1)
+    monkeypatch.setattr(simulator.mmap, "mmap", no_map)
+    with pytest.raises(MemoryError, match=f"need {3 * grid.n} bytes"):
+        run_steady_state(grid, ka, params)
 
 
 class _Stop(Exception):
@@ -616,6 +695,26 @@ def test_estimates_match_counts(grid):
     assert np.allclose(mean, res.counts.mean(axis=0) / 15)
     assert np.allclose(mean, res.mean_p)
     assert np.allclose(ci, res.ci95)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    runs=st.integers(1, 40),
+    n=st.sampled_from([1, _BATCH - 1, _BATCH, _BATCH + 1]) | st.integers(2, 3000),
+    intervals=st.integers(1, 300),
+    seed=st.integers(0, 2**64 - 1),
+)
+def test_blockwise_estimates_are_the_whole_array_formulas_bit_for_bit(runs, n, intervals, seed):
+    # _BATCH columns at a time; one run has no ci95
+    params = TrickleParams(measured_intervals=intervals, runs=runs)
+    dtype = np.int8 if intervals <= 127 else np.int16
+    counts = np.random.default_rng(seed).integers(0, intervals + 1, size=(runs, n), dtype=dtype)
+    mean_p, ci95 = simulator._estimate(counts, params)
+    want_mean, want_ci = estimate_probabilities(SimpleNamespace(counts=counts, params=params))
+    assert mean_p.tobytes() == want_mean.tobytes()
+    assert (ci95 is None) == (runs == 1) == (want_ci is None)
+    if ci95 is not None:
+        assert ci95.tobytes() == want_ci.tobytes()
 
 
 def test_single_run_has_no_ci(two_node):
